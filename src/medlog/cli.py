@@ -32,6 +32,7 @@ from .medvedev import (
     refute,
     valid_on,
     valuation_from_obj,
+    world,
 )
 from .structural import (
     PMorphism,
@@ -43,6 +44,18 @@ from .structural import (
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _is_world_list(obj) -> bool:
+    """A list of generator lists, the JSON form of worlds: ``[[1], [1, 2]]``."""
+    return isinstance(obj, list) and all(
+        isinstance(gs, list) and all(type(g) is int for g in gs) for gs in obj
+    )
 
 
 def _formula_arg(args) -> Formula:
@@ -181,8 +194,10 @@ def _cmd_alpha(args) -> int:
 
 def _cmd_subst(args) -> int:
     f = _formula_arg(args)
-    with open(args.valuation, "r", encoding="utf-8") as fh:
-        val = valuation_from_obj(frame(args.n), json.load(fh))
+    obj = _load_json(args.valuation)
+    if not (isinstance(obj, dict) and all(map(_is_world_list, obj.values()))):
+        raise MedlogError("valuation file must map atoms to lists of generator lists")
+    val = valuation_from_obj(frame(args.n), obj)
     sigma = universal_subst(args.n, val)
     image = apply_subst(sigma, f)
     if args.json:
@@ -238,24 +253,29 @@ def _cmd_dp(args) -> int:
 
 
 def _cmd_pmorphism(args) -> int:
-    with open(args.check, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    m, n = int(obj["m"]), int(obj["n"])
+    obj = _load_json(args.check)
+    if not (isinstance(obj, dict) and type(obj.get("m")) is int
+            and type(obj.get("n")) is int):
+        raise MedlogError("map file must be an object with integer m and n")
+    m, n = obj["m"], obj["n"]
     if "point_map" in obj:
-        pm = PMorphism.from_max_map(
-            m, n, {int(k): int(v) for k, v in obj["point_map"].items()}
-        )
+        point_map = obj["point_map"]
+        if not (isinstance(point_map, dict)
+                and all(type(v) is int for v in point_map.values())):
+            raise MedlogError("point_map must map generators to generators")
+        pm = PMorphism.from_max_map(m, n, {int(k): v for k, v in point_map.items()})
     else:
+        pairs = obj.get("map")
+        if not (isinstance(pairs, list)
+                and all(_is_world_list(p) and len(p) == 2 for p in pairs)):
+            raise MedlogError("map must be a list of [source world, image world] pairs")
         fr = frame(m)
         dense = [0] * fr.world_count
-        for src, dst in obj["map"]:
-            w = 0
-            for g in src:
-                w |= 1 << (g - 1)
-            img = 0
-            for g in dst:
-                img |= 1 << (g - 1)
-            dense[w - 1] = img
+        for src, dst in pairs:
+            w = world(*src)
+            if w > fr.world_count:
+                raise MedlogError(f"source world {gens(w)} outside {fr!r}")
+            dense[w - 1] = world(*dst)
         if 0 in dense:
             missing = gens(dense.index(0) + 1)
             raise MedlogError(f"map misses world {missing}")
@@ -382,6 +402,9 @@ def main(argv=None) -> int:
         return 3
     except (MedlogError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a crash must never exit 1, which means "refuted"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

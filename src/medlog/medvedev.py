@@ -422,14 +422,143 @@ def exhaustive_cost(fr: MedvedevFrame, atom_count: int) -> int | None:
     return count**atom_count * fr.world_count
 
 
+# --- bit-sliced exhaustive sweep ---------------------------------------------
+#
+# Valuation ``v`` (in ``iter_valuations`` order) is bit ``v`` of a column: for
+# every program slot and world one int holds that slot's truth value at that
+# world under all valuations of a chunk at once.  An atom with ``stride``
+# inner atoms after it has up-set index ``v // stride % U`` at valuation
+# ``v``, so its column is a run pattern over the up-sets containing the world.
+
+# Valuations per chunk of the sweep; bounds every column's width, hence the
+# memory of a sweep on M_4 and beyond.
+_CHUNK_VALUATIONS = 1 << 16
+
+
+@lru_cache(maxsize=8)
+def _upset_columns(n: int) -> tuple[int, ...]:
+    """Per world, the bitset over up-set indices of the up-sets containing it."""
+    fr = frame(n)
+    stride = (fr.world_count + 7) // 8
+    packed = b"".join(u.to_bytes(stride, "little") for u in _upset_list(n))
+    cols = []
+    for w in fr.worlds():
+        bit = 1 << (w - 1) % 8
+        digit = bytes(49 if byte & bit else 48 for byte in range(256))  # b"1" / b"0"
+        # one byte per up-set, lowest index last so int() reads it as bit 0
+        cols.append(int(packed[(w - 1) // 8::stride].translate(digit)[::-1], 2))
+    return tuple(cols)
+
+
+@lru_cache(maxsize=64)
+def _run_columns(n: int, first: int, count: int, run: int, reps: int) -> tuple[int, ...]:
+    """Per world: up-sets ``first .. first+count-1`` as runs of ``run`` bits
+    each (set where the up-set holds the world), the whole repeated ``reps``
+    times."""
+    width = count * run
+    repunit = ((1 << width * reps) - 1) // ((1 << width) - 1)
+    widen = {48: "0" * run, 49: "1" * run}
+    return tuple(
+        int(format(col >> first & ((1 << count) - 1), f"0{count}b").translate(widen), 2)
+        * repunit
+        for col in _upset_columns(n)
+    )
+
+
+def _atom_columns(n: int, start: int, length: int, stride: int) -> tuple[int, ...]:
+    """Per world, the atom's column over valuations ``start .. start+length-1``."""
+    u = UPSET_COUNTS[n]
+    first = start // stride % u
+    if length <= stride:  # the atom is fixed within the chunk
+        full = (1 << length) - 1
+        return tuple(full if col >> first & 1 else 0 for col in _upset_columns(n))
+    count = min(u, length // stride)
+    return _run_columns(n, first, count, stride, length // (count * stride))
+
+
+def _chunks(u: int, atom_count: int) -> Iterator[tuple[int, int]]:
+    """(start, length) of each chunk of the valuation axis, in order.
+
+    A chunk holds all combinations of the innermost atoms that fit under
+    ``_CHUNK_VALUATIONS`` together, times a range of up-sets of the next atom
+    out, whose up-sets are split across chunks; the outer atoms are fixed.
+    """
+    inner, fitted = 1, 0
+    while fitted < atom_count and inner * u <= _CHUNK_VALUATIONS:
+        inner *= u
+        fitted += 1
+    if fitted == atom_count:
+        yield 0, inner
+        return
+    piece = _CHUNK_VALUATIONS // inner
+    for base in range(0, u ** (atom_count - fitted), u):
+        for first in range(0, u, piece):
+            yield (base + first) * inner, min(piece, u - first) * inner
+
+
+@lru_cache(maxsize=None)
+def _zeta_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """World-index pairs ``(w, w minus one generator)``, grouped by generator.
+
+    OR-ing column ``u`` into column ``w`` along them, in order, replaces each
+    world's column by the OR over its up-cone (the superset zeta transform).
+    """
+    return tuple((m - 1, (m ^ 1 << i) - 1)
+                 for i in range(n) for m in range(1, 1 << n)
+                 if m >> i & 1 and m != 1 << i)
+
+
+def _not_up(pairs, full: int, cols: list[int]) -> list[int]:
+    """Per world: valuations under which no world of its up-cone is in ``cols``."""
+    cols = list(cols)
+    for w, u in pairs:
+        cols[w] |= cols[u]
+    return [full ^ c for c in cols]
+
+
+def _first_failure(fr: MedvedevFrame, prog: list[tuple],
+                   names: list[str]) -> tuple[int, World] | None:
+    """(valuation index, least failing world) of the first valuation under
+    which ``prog`` fails somewhere, or None if it holds everywhere."""
+    u = UPSET_COUNTS[fr.n]
+    strides = {nm: u ** (len(names) - 1 - i) for i, nm in enumerate(names)}
+    pairs = _zeta_pairs(fr.n)
+    for start, length in _chunks(u, len(names)):
+        full = (1 << length) - 1
+        out: list = []
+        for op, a, b in prog:
+            if op == _AND:
+                v = [x & y for x, y in zip(out[a], out[b])]
+            elif op == _OR:
+                v = [x | y for x, y in zip(out[a], out[b])]
+            elif op == _ATOM:
+                v = _atom_columns(fr.n, start, length, strides[a])
+            elif op == _NEG:
+                v = _not_up(pairs, full, out[a])
+            elif op == _IMP:
+                v = _not_up(pairs, full, [x & (full ^ y) for x, y in zip(out[a], out[b])])
+            else:
+                v = [full if a else 0] * fr.world_count
+            out.append(v)
+        fails = 0
+        for col in out[-1]:
+            fails |= full ^ col
+        if fails:
+            bit = (fails & -fails).bit_length() - 1
+            w = next(w for w, col in enumerate(out[-1], 1) if not col >> bit & 1)
+            return start + bit, w
+    return None
+
+
 def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
              count: int = 1000, seed: int = 0,
              budget: int = DEFAULT_VALUATION_BUDGET) -> ValidityResult:
     """Check ``f`` at every world under every (or ``count`` sampled) valuations.
 
-    Exhaustive mode walks valuations in enumeration order and reports the
-    first failure, choosing the failing world of smallest mask.  Sampling is
-    deterministic in ``seed``.
+    Exhaustive mode reports the first failing valuation in enumeration order
+    (``iter_valuations``), choosing the failing world of smallest mask; it
+    evaluates all valuations of a chunk at once, one bitset per subformula
+    and world.  Sampling is deterministic in ``seed``.
     """
     names = atoms(f)
     prog = compile_formula(f)
@@ -441,15 +570,18 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
             raise LimitError(
                 f"exhaustive sweep over {fr!r} with {len(names)} atoms exceeds budget"
             )
-        checked = 0
-        for val in iter_valuations(fr, names):
-            checked += 1
-            ts = run_program(fr, prog, val.map)
-            if ts != all_w:
-                w = ((all_w ^ ts) & -(all_w ^ ts)).bit_length()
-                wit = RefutationWitness(fr.n, val, w, f)
-                return ValidityResult(False, True, checked, wit)
-        return ValidityResult(True, True, checked)
+        ups = _upset_list(fr.n)
+        found = _first_failure(fr, prog, names)
+        if found is None:
+            return ValidityResult(True, True, len(ups) ** len(names))
+        index, w = found
+        digits = []  # up-set index per atom, last atom first
+        rest = index
+        for _ in names:
+            rest, j = divmod(rest, len(ups))
+            digits.append(j)
+        val = Valuation(fr, {nm: ups[j] for nm, j in zip(names, reversed(digits))})
+        return ValidityResult(False, True, index + 1, RefutationWitness(fr.n, val, w, f))
 
     if mode == "sample":
         rng = random.Random(seed)

@@ -324,8 +324,16 @@ def check_pmorphism(pm: PMorphism) -> PMorphismReport:
     The back condition uses the canonical candidate: for ``y`` above the
     image of ``x``, keep exactly the generators of ``x`` whose point images
     lie in ``y``; that world must sit above ``x`` and map onto ``y``.
+    A map that is not a total map from ``M_m`` into ``M_n`` is rejected with
+    ``ValueError``.
     """
-    fr_m = frame(pm.m)
+    fr_m, fr_n = frame(pm.m), frame(pm.n)
+    if len(pm.mapping) != fr_m.world_count:
+        raise ValueError(f"map has {len(pm.mapping)} source worlds, {fr_m!r} has "
+                         f"{fr_m.world_count}")
+    for x in fr_m.worlds():
+        if not 1 <= pm.apply(x) <= fr_n.world_count:
+            raise ValueError(f"world {gens(x)} maps outside {fr_n!r}")
     violations = []
     for x in fr_m.worlds():
         fx = pm.apply(x)

@@ -266,3 +266,50 @@ def test_json_output_deterministic(capsys):
     b = run(capsys, "witness", "--premise", "p | q", "--conclusion", "q",
             "--max-n", "2", "--seed", "7")
     assert a == b
+
+
+def test_pmorphism_image_outside_target_frame_exits_3(tmp_path, capsys):
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps({"m": 1, "n": 1, "map": [[[1], [3]]]}))
+    code, out, err = run(capsys, "pmorphism", "--check", str(path))
+    assert (code, out) == (3, "")
+    assert "outside M_1" in err
+
+
+def test_pmorphism_source_outside_frame_exits_3(tmp_path, capsys):
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps({"m": 1, "n": 1, "map": [[[2], [1]]]}))
+    code, out, err = run(capsys, "pmorphism", "--check", str(path))
+    assert (code, out) == (3, "")
+    assert "outside M_1" in err
+
+
+@pytest.mark.parametrize("obj", [
+    [1, 2],
+    {"m": "2", "n": 2, "map": []},
+    {"m": 1, "n": 1, "map": [[[1], ["a"]]]},
+    {"m": 1, "n": 1, "map": [[[1]]]},
+    {"m": 2, "n": 1, "point_map": [1, 1]},
+])
+def test_pmorphism_malformed_file_exits_3(tmp_path, capsys, obj):
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "pmorphism", "--check", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("obj", [["p"], {"p": [1]}, {"p": [["1"]]}])
+def test_subst_malformed_valuation_exits_3(tmp_path, capsys, obj):
+    path = tmp_path / "val.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "subst", "p", "--n", "2", "--valuation", str(path))
+    assert (code, out) == (3, "")
+    assert "lists of generator lists" in err
+
+
+def test_unexpected_exception_exits_3_not_1(capsys):
+    code, out, err = run(capsys, "parse", "~" * 3000 + "p")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: RecursionError")
+    assert len(err.splitlines()) == 1

@@ -9,14 +9,16 @@ import random
 
 import pytest
 
+from medlog import medvedev
 from medlog.errors import LimitError, SelfCheckError
-from medlog.formula import And, Atom, Imp, Neg, Or, parse
+from medlog.formula import And, Atom, Imp, Neg, Or, atoms, parse, render
 from medlog.medvedev import (
     MedvedevFrame,
     RefutationWitness,
     UPSET_COUNTS,
     Valuation,
     close_up,
+    compile_formula,
     disjoint_embed,
     down_closure,
     dp_countermodel,
@@ -30,6 +32,7 @@ from medlog.medvedev import (
     iter_valuations,
     persistence_check,
     refute,
+    run_program,
     sample_valuation,
     truth_set,
     upset_from_worlds,
@@ -298,6 +301,79 @@ def test_valuation_json_round_trip():
     obj = val.to_obj()
     assert obj == {"p": [[1], [2], [3], [2, 3]], "q": []}
     assert valuation_from_obj(fr, obj).map == val.map
+
+
+# --- exhaustive sweep against the per-valuation loop ---------------------
+
+def reference_sweep(fr, f):
+    """(valid, checked, witness valuation, witness world) by one
+    ``run_program`` call per valuation in enumeration order."""
+    prog = compile_formula(f)
+    checked = 0
+    for val in iter_valuations(fr, atoms(f)):
+        checked += 1
+        bad = fr.all_worlds ^ run_program(fr, prog, val.map)
+        if bad:
+            return False, checked, val.map, (bad & -bad).bit_length()
+    return True, checked, None, None
+
+
+def sweep(fr, f):
+    res = valid_on(fr, f, "exhaustive")
+    assert res.exhaustive
+    if res.witness is None:
+        return res.valid, res.checked, None, None
+    return res.valid, res.checked, res.witness.valuation.map, res.witness.world
+
+
+def sweep_corpus(seed, count):
+    """Seeded formulas over 0-3 atoms, constants included."""
+    rng = random.Random(seed)
+    return [random_formula(rng, ["p", "q", "r"][:rng.randrange(4)], rng.randrange(1, 6))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exhaustive_sweep_matches_per_valuation_loop(n):
+    fr = frame(n)
+    outcomes = set()
+    for f in sweep_corpus(40 + n, 150):
+        got = sweep(fr, f)
+        assert got == reference_sweep(fr, f), render(f)
+        outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
+def test_sweep_chunks_split_an_atom_with_more_upsets_than_the_bound(monkeypatch):
+    monkeypatch.setattr(medvedev, "_CHUNK_VALUATIONS", 7)
+    # M_3 has 19 up-sets: one atom's range is split 7 + 7 + 5
+    assert list(medvedev._chunks(19, 1)) == [(0, 7), (7, 7), (14, 5)]
+    # the outer atom is fixed per chunk, the inner one split as above
+    assert list(medvedev._chunks(19, 2))[3:6] == [(19, 7), (26, 7), (33, 5)]
+    # M_2 has 5: a whole atom fits, and the next one out takes one up-set per chunk
+    assert list(medvedev._chunks(5, 2))[:2] == [(0, 5), (5, 5)]
+    assert list(medvedev._chunks(5, 0)) == [(0, 1)]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 7, 19, 20, 40, 400])
+def test_exhaustive_sweep_small_chunks_match_per_valuation_loop(monkeypatch, bound):
+    # bounds below 5 (M_2) or 19 (M_3) up-sets split an atom's range
+    monkeypatch.setattr(medvedev, "_CHUNK_VALUATIONS", bound)
+    at_start = at_end = 0
+    extra = ["p -> q", "(q -> p) | r", "(~p -> q | r) -> (~p -> q) | (~p -> r)"]
+    for f in sweep_corpus(7, 120) + [parse(text) for text in extra]:
+        for n in (1, 2, 3):
+            fr = frame(n)
+            got = sweep(fr, f)
+            assert got == reference_sweep(fr, f), (n, render(f))
+            if not got[0]:
+                index = got[1] - 1
+                chunks = medvedev._chunks(UPSET_COUNTS[n], len(atoms(f)))
+                start, length = next((s, k) for s, k in chunks if index < s + k)
+                at_start += 0 < start == index
+                at_end += 1 < length == index - start + 1
+    # some refutations open a later chunk, some close a chunk of several
+    assert at_start and (at_end or bound == 1)
 
 
 # --- subframes and block embeddings ------------------------------------

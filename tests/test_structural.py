@@ -181,6 +181,15 @@ def test_check_pmorphism_flags_back_condition():
     assert kinds == {"back"}
 
 
+def test_check_pmorphism_rejects_maps_outside_the_frames():
+    with pytest.raises(ValueError, match="outside M_1"):
+        check_pmorphism(PMorphism(1, 1, (3,)))  # image {1,2} is not a world of M_1
+    with pytest.raises(ValueError, match="outside M_2"):
+        check_pmorphism(PMorphism(2, 2, (1, 2, 0)))
+    with pytest.raises(ValueError, match="source worlds"):
+        check_pmorphism(PMorphism(1, 1, (1, 1)))
+
+
 def test_identity_map_passes():
     fr = frame(3)
     pm = PMorphism(3, 3, tuple(fr.worlds()))
