@@ -34,7 +34,6 @@ from .formula import (
     render,
 )
 from .medvedev import (
-    MedvedevFrame,
     Valuation,
     frame,
     gens,

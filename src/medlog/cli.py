@@ -101,10 +101,7 @@ def _cmd_normalize(args) -> int:
             "needs_weak_kp": report.needs_weak_kp,
             "ipc_equivalent": report.ipc_equivalent,
             "constants_as_negations": report.constants_as_negations,
-            "frame_checks": [
-                {"n": c.n, "mode": c.mode, "valid": c.valid, "checked": c.checked}
-                for c in report.frame_checks
-            ],
+            "frame_checks": [c.to_obj() for c in report.frame_checks],
         })
     else:
         for b in nd.bodies:

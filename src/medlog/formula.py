@@ -190,8 +190,15 @@ def _prec(f: Formula) -> int:
             return 5
 
 
+_INFIX = {And: (" & ", 3), Or: (" | ", 2), Imp: (" -> ", 1)}
+
+
 def render(f: Formula) -> str:
-    """Minimal-parenthesization text form; ``parse(render(f)) == f``."""
+    """Minimal-parenthesization text form; ``parse(render(f)) == f``.
+
+    A right-nested chain of one binary connective (``big_or`` of many
+    members) is walked in a loop, so its length does not deepen recursion.
+    """
     match f:
         case Atom(name):
             return name
@@ -202,12 +209,15 @@ def render(f: Formula) -> str:
         case Neg(body):
             s = render(body)
             return "~" + (s if _prec(body) >= 4 else f"({s})")
-        case And(lhs, rhs):
-            return f"{_child(lhs, 3, True)} & {_child(rhs, 3, False)}"
-        case Or(lhs, rhs):
-            return f"{_child(lhs, 2, True)} | {_child(rhs, 2, False)}"
-        case Imp(lhs, rhs):
-            return f"{_child(lhs, 1, True)} -> {_child(rhs, 1, False)}"
+        case And() | Or() | Imp():
+            kind = type(f)
+            sep, level = _INFIX[kind]
+            parts = []
+            while type(f) is kind:
+                parts.append(_child(f.lhs, level, True))
+                f = f.rhs
+            parts.append(_child(f, level, False))
+            return sep.join(parts)
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -31,13 +31,12 @@ from .formula import (
     Neg,
     Or,
     Top,
-    atoms,
     big_or,
     iff,
     render,
 )
 from .ipc import ipc_provable
-from .medvedev import exhaustive_cost, frame, valid_on
+from .medvedev import ValidityResult, frame, valid_on
 
 RANK_CAP = 1 << 20
 
@@ -192,6 +191,13 @@ class FrameCheck:
     valid: bool
     checked: int
 
+    @classmethod
+    def of(cls, n: int, res: ValidityResult) -> "FrameCheck":
+        return cls(n, "exhaustive" if res.exhaustive else "sample", res.valid, res.checked)
+
+    def to_obj(self) -> dict:
+        return {"n": self.n, "mode": self.mode, "valid": self.valid, "checked": self.checked}
+
 
 @dataclass(frozen=True)
 class NormalFormReport:
@@ -222,17 +228,13 @@ def verify_normal_form(f: Formula, nd: NegDisjunction, bound: int = 3, *,
     fed to the prover in both directions.
     """
     both = iff(f, nd.to_formula())
-    names = atoms(both)
     checks = []
     for n in range(1, bound + 1):
         fr = frame(n)
-        cost = exhaustive_cost(fr, len(names))
-        if cost is not None and cost // fr.world_count <= max_exhaustive:
-            res = valid_on(fr, both, "exhaustive")
-        else:
-            res = valid_on(fr, both, "sample", count=sample_count, seed=seed + n)
-        checks.append(FrameCheck(n, "exhaustive" if res.exhaustive else "sample",
-                                 res.valid, res.checked))
+        # a sweep costs valuations * world_count, and max_exhaustive caps valuations
+        res = valid_on(fr, both, "auto", count=sample_count, seed=seed + n,
+                       budget=max_exhaustive * fr.world_count)
+        checks.append(FrameCheck.of(n, res))
 
     needs_weak_kp = _skeleton_has_imp(f)
     ipc_equivalent: bool | None = None

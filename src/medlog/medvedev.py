@@ -555,21 +555,29 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
              budget: int = DEFAULT_VALUATION_BUDGET) -> ValidityResult:
     """Check ``f`` at every world under every (or ``count`` sampled) valuations.
 
+    ``mode``: "exhaustive" (``LimitError`` when the sweep's
+    ``exhaustive_cost`` is unsupported or over ``budget``), "sample", or
+    "auto" (exhaustive when the cost is within ``budget``, sampled
+    otherwise); ``ValidityResult.exhaustive`` reports which ran.
+
     Exhaustive mode reports the first failing valuation in enumeration order
     (``iter_valuations``), choosing the failing world of smallest mask; it
     evaluates all valuations of a chunk at once, one bitset per subformula
     and world.  Sampling is deterministic in ``seed``.
     """
+    if mode not in ("exhaustive", "sample", "auto"):
+        raise ValueError(f"unknown mode {mode!r}")
     names = atoms(f)
+    cost = exhaustive_cost(fr, len(names))
+    within = cost is not None and cost <= budget
+    if mode == "exhaustive" and not within:
+        raise LimitError(
+            f"exhaustive sweep over {fr!r} with {len(names)} atoms exceeds budget"
+        )
     prog = compile_formula(f)
     all_w = fr.all_worlds
 
-    if mode == "exhaustive":
-        cost = exhaustive_cost(fr, len(names))
-        if cost is None or cost > budget:
-            raise LimitError(
-                f"exhaustive sweep over {fr!r} with {len(names)} atoms exceeds budget"
-            )
+    if mode != "sample" and within:
         ups = _upset_list(fr.n)
         found = _first_failure(fr, prog, names)
         if found is None:
@@ -583,18 +591,15 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
         val = Valuation(fr, {nm: ups[j] for nm, j in zip(names, reversed(digits))})
         return ValidityResult(False, True, index + 1, RefutationWitness(fr.n, val, w, f))
 
-    if mode == "sample":
-        rng = random.Random(seed)
-        for i in range(count):
-            val = sample_valuation(fr, names, rng)
-            ts = run_program(fr, prog, val.map)
-            if ts != all_w:
-                w = ((all_w ^ ts) & -(all_w ^ ts)).bit_length()
-                wit = RefutationWitness(fr.n, val, w, f)
-                return ValidityResult(False, False, i + 1, wit)
-        return ValidityResult(True, False, count)
-
-    raise ValueError(f"unknown mode {mode!r}")
+    rng = random.Random(seed)
+    for i in range(count):
+        val = sample_valuation(fr, names, rng)
+        ts = run_program(fr, prog, val.map)
+        if ts != all_w:
+            w = ((all_w ^ ts) & -(all_w ^ ts)).bit_length()
+            wit = RefutationWitness(fr.n, val, w, f)
+            return ValidityResult(False, False, i + 1, wit)
+    return ValidityResult(True, False, count)
 
 
 def refute(f: Formula, max_n: int, strategy: str = "auto", *,
@@ -602,23 +607,12 @@ def refute(f: Formula, max_n: int, strategy: str = "auto", *,
            budget: int = DEFAULT_VALUATION_BUDGET) -> RefutationWitness | None:
     """Scan frames of size 1..max_n for a refuting valuation and world.
 
-    ``strategy``: "exhaustive" (error if over budget), "sample", or "auto"
-    (exhaustive while the budget allows, sampling beyond).  A None return
-    from sampled frames is inconclusive.
+    ``strategy`` is the ``valid_on`` mode used on every frame; frame ``n``
+    samples with seed ``seed + n``.  A None return from sampled frames is
+    inconclusive.
     """
-    if strategy not in ("exhaustive", "sample", "auto"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    names = atoms(f)
     for n in range(1, max_n + 1):
-        fr = frame(n)
-        use_exhaustive = strategy == "exhaustive"
-        if strategy == "auto":
-            cost = exhaustive_cost(fr, len(names))
-            use_exhaustive = cost is not None and cost <= budget
-        if use_exhaustive:
-            res = valid_on(fr, f, "exhaustive", budget=budget)
-        else:
-            res = valid_on(fr, f, "sample", count=count, seed=seed + n)
+        res = valid_on(frame(n), f, strategy, count=count, seed=seed + n, budget=budget)
         if res.witness is not None:
             return res.witness
     return None

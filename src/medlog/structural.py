@@ -35,29 +35,24 @@ from .formula import (
     TOP,
     Atom,
     Formula,
+    Imp,
     Neg,
     Substitution,
     apply_subst,
-    atoms,
     render,
 )
 from .ipc import classical_countermodel, _truth
-from .kpform import RANK_CAP, kp_normalize
+from .kpform import RANK_CAP, FrameCheck, kp_normalize
 from .medvedev import (
     DEFAULT_VALUATION_BUDGET,
-    MedvedevFrame,
     RefutationWitness,
     Valuation,
-    exhaustive_cost,
     frame,
     gens,
     generated_subframe,
-    iter_valuations,
     refute,
-    run_program,
-    compile_formula,
-    sample_valuation,
     truth_set,
+    upset_worlds,
     valid_on,
 )
 from .randgen import random_formula
@@ -137,14 +132,6 @@ def levin_decomposition(phi: Formula, max_n: int = 4, *, strategy: str = "auto",
 
 
 @dataclass(frozen=True)
-class EvidenceEntry:
-    n: int
-    mode: str  # "exhaustive" | "sample"
-    valid: bool
-    checked: int
-
-
-@dataclass(frozen=True)
 class AdmissibilityWitness:
     """A substitution keeping the premise valid while refuting the conclusion.
 
@@ -162,7 +149,7 @@ class AdmissibilityWitness:
     valuation: Valuation
     sigma: Substitution
     refutation: RefutationWitness
-    validity_evidence: tuple[EvidenceEntry, ...]
+    validity_evidence: tuple[FrameCheck, ...]
 
     def to_obj(self) -> dict:
         return {
@@ -172,30 +159,8 @@ class AdmissibilityWitness:
             "valuation": self.valuation.to_obj(),
             "sigma": {a: render(f) for a, f in sorted(self.sigma.mapping.items())},
             "refutation": self.refutation.to_obj(),
-            "validity_evidence": [
-                {"n": e.n, "mode": e.mode, "valid": e.valid, "checked": e.checked}
-                for e in self.validity_evidence
-            ],
+            "validity_evidence": [e.to_obj() for e in self.validity_evidence],
         }
-
-
-def _separating_world(fr: MedvedevFrame, prog_premise: list[tuple],
-                      prog_conclusion: list[tuple], val: Valuation) -> int | None:
-    """Least world (max generators, then smallest mask) forcing the premise
-    but not the conclusion, or None."""
-    q = (run_program(fr, prog_premise, val.map)
-         & (fr.all_worlds ^ run_program(fr, prog_conclusion, val.map)))
-    if not q:
-        return None
-    best = None
-    todo = q
-    while todo:
-        lsb = todo & -todo
-        todo ^= lsb
-        w = lsb.bit_length()
-        if best is None or (-w.bit_count(), w) < (-best.bit_count(), best):
-            best = w
-    return best
 
 
 def admissibility_witness(premise: Formula, conclusion: Formula, max_n: int = 3, *,
@@ -205,40 +170,21 @@ def admissibility_witness(premise: Formula, conclusion: Formula, max_n: int = 3,
                           ) -> AdmissibilityWitness | None:
     """Search frames 1..max_n for a valuation and world separating the rule.
 
-    The scan order is ascending frame size, valuation enumeration order,
-    then the least separating world.  Returns None when no separation shows
-    up within the bound (which does not prove the conclusion follows).
+    A valuation separates the rule exactly when it refutes
+    ``premise -> conclusion`` somewhere, so the search is ``refute`` of that
+    implication: ascending frame size, valuation enumeration order, then the
+    least separating world (most generators, then smallest mask).  Returns
+    None when no separation shows up within the bound (which does not prove
+    the conclusion follows).
     """
-    if strategy not in ("exhaustive", "sample", "auto"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    names = list(dict.fromkeys(atoms(premise) + atoms(conclusion)))
-    prog_p = compile_formula(premise)
-    prog_c = compile_formula(conclusion)
-
-    found: tuple[int, Valuation, int] | None = None
-    for n in range(1, max_n + 1):
-        fr = frame(n)
-        use_exhaustive = strategy == "exhaustive"
-        if strategy == "auto":
-            cost = exhaustive_cost(fr, len(names))
-            use_exhaustive = cost is not None and 2 * cost <= budget
-        if use_exhaustive:
-            source = iter_valuations(fr, names)
-        else:
-            rng = random.Random(seed + n)
-            source = (sample_valuation(fr, names, rng) for _ in range(count))
-        for val in source:
-            w = _separating_world(fr, prog_p, prog_c, val)
-            if w is not None:
-                found = (n, val, w)
-                break
-        if found:
-            break
+    found = refute(Imp(premise, conclusion), max_n, strategy,
+                   count=count, seed=seed, budget=budget)
     if found is None:
         return None
-
-    n, val, w = found
-    sub = generated_subframe(frame(n), w)
+    fr, val = frame(found.n), found.valuation
+    separating = truth_set(fr, val, premise) & ~truth_set(fr, val, conclusion)
+    w = min(upset_worlds(separating), key=lambda w: (-w.bit_count(), w))
+    sub = generated_subframe(fr, w)
     restricted = sub.restrict_valuation(val)
     k = sub.frame.n
 
@@ -257,19 +203,14 @@ def admissibility_witness(premise: Formula, conclusion: Formula, max_n: int = 3,
     image_premise = apply_subst(sigma, premise)
     evidence = []
     for n2 in range(1, validity_bound + 1):
-        fr2 = frame(n2)
-        cost = exhaustive_cost(fr2, len(atoms(image_premise)))
-        if cost is not None and cost <= budget:
-            res = valid_on(fr2, image_premise, "exhaustive", budget=budget)
-        else:
-            res = valid_on(fr2, image_premise, "sample", count=count, seed=seed + n2)
+        res = valid_on(frame(n2), image_premise, "auto", count=count, seed=seed + n2,
+                       budget=budget)
         if not res.valid:
             raise SelfCheckError(
                 f"premise image unexpectedly refuted on M_{n2}; "
                 "the substitution construction is broken"
             )
-        evidence.append(EvidenceEntry(n2, "exhaustive" if res.exhaustive else "sample",
-                                      res.valid, res.checked))
+        evidence.append(FrameCheck.of(n2, res))
 
     return AdmissibilityWitness(
         premise=premise,
@@ -400,6 +341,16 @@ class TransferReport:
         return all(c.ok for c in self.cases)
 
 
+def _transfer_case(pm: PMorphism, f: Formula, ts_source: int,
+                   ts_target: int) -> TransferCase:
+    """Compare membership of ``x`` in ``ts_source`` with membership of
+    ``pm.apply(x)`` in ``ts_target``, reporting the least world where they differ."""
+    for x in frame(pm.m).worlds():
+        if bool(ts_source >> (x - 1) & 1) != bool(ts_target >> (pm.apply(x) - 1) & 1):
+            return TransferCase(f, False, x)
+    return TransferCase(f, True, None)
+
+
 def check_alpha_transfer(pm: PMorphism, u: UniversalValuation,
                          w: Valuation) -> TransferReport:
     """The membership transfer: ``f(x)`` lands in the truth set of
@@ -409,14 +360,8 @@ def check_alpha_transfer(pm: PMorphism, u: UniversalValuation,
     cases = []
     for mask in frame(u.n).worlds():
         f = alpha_I(u.family, gens(mask))
-        ts_w = truth_set(fr_m, w, f)
-        ts_u = truth_set(fr_n, u.valuation, f)
-        bad = None
-        for x in fr_m.worlds():
-            if bool(ts_w >> (x - 1) & 1) != bool(ts_u >> (pm.apply(x) - 1) & 1):
-                bad = x
-                break
-        cases.append(TransferCase(f, bad is None, bad))
+        cases.append(_transfer_case(pm, f, truth_set(fr_m, w, f),
+                                    truth_set(fr_n, u.valuation, f)))
     return TransferReport(tuple(cases))
 
 
@@ -444,14 +389,7 @@ def transfer_check(pm: PMorphism, sigma: Substitution, u: UniversalValuation,
                               for p in domain})
     side_w = Valuation(fr_m, {p: truth_set(fr_m, w, sigma.lookup(p))
                               for p in domain})
-    cases = []
-    for chi in test_formulas:
-        ts_u = truth_set(fr_n, side_u, chi)
-        ts_w = truth_set(fr_m, side_w, chi)
-        bad = None
-        for x in fr_m.worlds():
-            if bool(ts_w >> (x - 1) & 1) != bool(ts_u >> (pm.apply(x) - 1) & 1):
-                bad = x
-                break
-        cases.append(TransferCase(chi, bad is None, bad))
+    cases = [_transfer_case(pm, chi, truth_set(fr_m, side_w, chi),
+                            truth_set(fr_n, side_u, chi))
+             for chi in test_formulas]
     return TransferReport(tuple(cases))

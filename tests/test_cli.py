@@ -5,6 +5,7 @@ import json
 import pytest
 
 from medlog.cli import main
+from medlog.formula import parse, render
 from medlog.medvedev import frame, witness_from_obj
 
 
@@ -151,6 +152,18 @@ def test_subst_command(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "sigma(p) = ~~p1"
     assert lines[1] == "image: ~~p1 | ~~~p1"
+
+
+def test_subst_on_a_wide_universal_substitution(tmp_path, capsys):
+    # sigma(p) is a 511-member disjunction on M_9
+    path = tmp_path / "val.json"
+    path.write_text(json.dumps({"p": [[1, 2, 3, 4, 5, 6, 7, 8, 9]]}))
+    code, out, err = run(capsys, "subst", "p", "--n", "9", "--valuation", str(path))
+    assert (code, err) == (0, "")
+    last = out.splitlines()[-1]
+    assert last.startswith("image: ")
+    image = last.removeprefix("image: ")
+    assert render(parse(image)) == image
 
 
 def test_subst_missing_file_exits_3(capsys):

@@ -99,6 +99,15 @@ def test_parse_render_round_trip_random():
         assert parse(text) == f, text
 
 
+def test_render_long_chains_without_recursion():
+    names = [f"a{i}" for i in range(2000)]
+    text = render(big_or([Atom(a) for a in names]))
+    assert text == " | ".join(names)
+    assert render(parse(text)) == text
+    # a chain nested on the left of its own connective keeps its parens
+    assert render(Or(parse(text), BOT)) == f"({text}) | F"
+
+
 def test_parse_error_reports_offset_and_expected():
     with pytest.raises(ParseError) as exc:
         parse("p & ")

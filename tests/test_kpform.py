@@ -8,12 +8,14 @@ from medlog.errors import InfiniteRankError, RankOverflowError
 from medlog.formula import And, Atom, Imp, Neg, big_or, parse, render
 from medlog.kpform import (
     INFINITE_RANK,
+    FrameCheck,
     NegDisjunction,
     Rank,
     kp_normalize,
     kp_rank,
     verify_normal_form,
 )
+from medlog.medvedev import UPSET_COUNTS
 from medlog.randgen import random_finite_rank_formula
 
 
@@ -165,3 +167,17 @@ def test_verify_reports_constant_identification():
         f = parse(text)
         report = verify_normal_form(f, kp_normalize(f), bound=2)
         assert report.ok and not report.constants_as_negations, text
+
+
+def test_verify_exhaustive_exactly_up_to_max_exhaustive_valuations():
+    f = parse("~p | ~q")  # the equivalence has two atoms: 5**2 valuations on M_2
+    nd = kp_normalize(f)
+    valuations = UPSET_COUNTS[2] ** 2
+    at = verify_normal_form(f, nd, bound=2, max_exhaustive=valuations, sample_count=9)
+    assert at.frame_checks == (FrameCheck(1, "exhaustive", True, UPSET_COUNTS[1] ** 2),
+                               FrameCheck(2, "exhaustive", True, valuations))
+    below = verify_normal_form(f, nd, bound=2, max_exhaustive=valuations - 1,
+                               sample_count=9)
+    assert below.frame_checks[1] == FrameCheck(2, "sample", True, 9)
+    assert below.frame_checks[1].to_obj() == {"n": 2, "mode": "sample", "valid": True,
+                                              "checked": 9}

@@ -263,6 +263,38 @@ def test_refute_scans_frames_in_order():
     assert refute(parse("~~p -> p"), 3).n == 2
 
 
+def test_auto_mode_is_exhaustive_exactly_within_budget():
+    fr = frame(2)
+    f = parse("p & q -> p")
+    cost = exhaustive_cost(fr, 2)
+    at = valid_on(fr, f, "auto", count=7, budget=cost)
+    assert (at.valid, at.exhaustive, at.checked) == (True, True, UPSET_COUNTS[2] ** 2)
+    below = valid_on(fr, f, "auto", count=7, budget=cost - 1)
+    assert (below.valid, below.exhaustive, below.checked) == (True, False, 7)
+    # a refutation is the one its mode finds on its own
+    g = parse("p -> q")
+    assert (valid_on(fr, g, "auto", budget=cost).witness.to_obj()
+            == valid_on(fr, g, "exhaustive").witness.to_obj())
+    assert (valid_on(fr, g, "auto", count=7, seed=3, budget=cost - 1).witness.to_obj()
+            == valid_on(fr, g, "sample", count=7, seed=3).witness.to_obj())
+    with pytest.raises(LimitError):
+        valid_on(fr, f, "exhaustive", budget=cost - 1)
+    # no up-set table beyond M_6: auto samples, exhaustive refuses
+    big = valid_on(frame(7), parse("p -> p"), "auto", count=5)
+    assert (big.valid, big.exhaustive, big.checked) == (True, False, 5)
+    with pytest.raises(LimitError):
+        valid_on(frame(7), parse("p -> p"), "exhaustive")
+
+
+def test_unknown_mode_is_rejected_before_any_work():
+    # M_7 would raise LimitError in exhaustive mode; the mode check comes first
+    for fr in (frame(1), frame(7)):
+        with pytest.raises(ValueError, match="unknown mode"):
+            valid_on(fr, parse("p"), "guess")
+    with pytest.raises(ValueError, match="unknown mode"):
+        refute(parse("p"), 1, "guess")
+
+
 def test_refute_honours_intuitionistic_theorems():
     for text in ["p -> p", "~~(p | ~p)", "p & q -> q", "F -> p"]:
         assert refute(parse(text), 3) is None, text

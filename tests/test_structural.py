@@ -5,20 +5,26 @@ import random
 
 import pytest
 
+from medlog import medvedev
 from medlog.alpha import alpha_formulas, u_valuation, universal_subst
-from medlog.errors import SelfCheckError
+from medlog.errors import LimitError, SelfCheckError
 from medlog.formula import (
     Atom,
     Substitution,
     apply_subst,
+    atoms,
     parse,
     render,
 )
 from medlog.ipc import ipc_provable
 from medlog.medvedev import (
     Valuation,
+    compile_formula,
+    exhaustive_cost,
     frame,
+    generated_subframe,
     iter_valuations,
+    run_program,
     sample_valuation,
     truth_set,
     valid_on,
@@ -146,6 +152,75 @@ def test_admissibility_sample_strategy_deterministic():
                               strategy="sample", count=50, seed=4)
     assert a is not None and b is not None
     assert a.to_obj() == b.to_obj()
+
+
+def reference_separation(premise, conclusion, max_n, strategy, count, seed):
+    """(k, restricted valuation) of the first separating valuation, by one
+    ``run_program`` call per formula and valuation: valuations in enumeration
+    order (or ``count`` samples seeded ``seed + n``), then the separating
+    world with the most generators and the smallest mask."""
+    names = list(dict.fromkeys(atoms(premise) + atoms(conclusion)))
+    prog_p, prog_c = compile_formula(premise), compile_formula(conclusion)
+    for n in range(1, max_n + 1):
+        fr = frame(n)
+        if strategy == "sample":
+            rng = random.Random(seed + n)
+            source = (sample_valuation(fr, names, rng) for _ in range(count))
+        else:  # up to three atoms on M_1..M_3 fit any budget used here
+            source = iter_valuations(fr, names)
+        for val in source:
+            sep = (run_program(fr, prog_p, val.map)
+                   & (fr.all_worlds ^ run_program(fr, prog_c, val.map)))
+            if sep:
+                w = max((w for w in fr.worlds() if sep >> (w - 1) & 1),
+                        key=lambda w: (w.bit_count(), -w))
+                sub = generated_subframe(fr, w)
+                return sub.frame.n, sub.restrict_valuation(val).to_obj()
+    return None
+
+
+@pytest.mark.parametrize("strategy", ["auto", "exhaustive", "sample"])
+def test_admissibility_search_matches_per_valuation_loop(strategy):
+    rng = random.Random(61)
+    found = 0
+    for i in range(60):
+        names = ["p", "q", "r"][:rng.randrange(1, 4)]
+        premise = random_formula(rng, names, rng.randrange(1, 4))
+        conclusion = random_formula(rng, names, rng.randrange(1, 4))
+        max_n = rng.randrange(2, 4)
+        wit = admissibility_witness(premise, conclusion, max_n, validity_bound=2,
+                                    strategy=strategy, count=30, seed=i)
+        expected = reference_separation(premise, conclusion, max_n, strategy, 30, i)
+        if wit is None:
+            assert expected is None, (render(premise), render(conclusion))
+            continue
+        obj = wit.to_obj()
+        assert (obj["premise"], obj["conclusion"]) == (render(premise), render(conclusion))
+        assert (obj["k"], obj["valuation"]) == expected, (render(premise), render(conclusion))
+        found += 1
+    assert 0 < found < 60
+
+
+def test_admissibility_search_sweeps_a_frame_whose_cost_meets_the_budget(monkeypatch):
+    real = medvedev.valid_on
+    modes = []
+
+    def spy(fr, f, mode, **kwargs):
+        res = real(fr, f, mode, **kwargs)
+        modes.append((fr.n, res.exhaustive))
+        return res
+
+    monkeypatch.setattr(medvedev, "valid_on", spy)  # seen by refute, not the evidence loop
+    wit = admissibility_witness(parse("~~p"), parse("p"), 2, validity_bound=1,
+                                budget=exhaustive_cost(frame(2), 1))
+    assert wit.k == 2
+    assert modes == [(1, True), (2, True)]
+
+
+def test_admissibility_exhaustive_over_budget_is_a_limit_error():
+    # p, q on M_1 cost 2**2 sweep steps
+    with pytest.raises(LimitError):
+        admissibility_witness(parse("p"), parse("q"), 2, strategy="exhaustive", budget=3)
 
 
 # --- point maps ---------------------------------------------------------
