@@ -8,7 +8,7 @@ tried in that order, so the search is reproducible.  A budget bounds the
 number of sequent expansions; exhausting it raises ``SearchBudgetError``
 rather than returning a wrong answer.
 
-``classically_valid`` / ``classical_countermodel`` sweep truth tables.
+``classically_valid`` / ``classical_countermodel`` sweep truth tables on ``M_1``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .formula import (
     Top,
     atoms,
 )
+from .medvedev import _sweep, _valuation_chunks, frame
 
 DEFAULT_BUDGET = 10**6
 
@@ -192,15 +193,19 @@ def _truth(f: Formula, assign: dict[str, bool]) -> bool:
 
 def classical_countermodel(f: Formula,
                            max_atoms: int = MAX_CLASSICAL_ATOMS) -> dict[str, bool] | None:
-    """First falsifying assignment in binary counting order, or None."""
+    """First falsifying assignment in binary counting order, or None.
+
+    ``M_1`` is classical logic (one world; up-sets empty and full), and its
+    sweep varies the last atom fastest, so the atoms go in reversed.
+    """
     names = atoms(f)
     if len(names) > max_atoms:
         raise LimitError(f"{len(names)} atoms exceeds the classical limit {max_atoms}")
-    for bits in range(1 << len(names)):
-        assign = {nm: bool(bits >> i & 1) for i, nm in enumerate(names)}
-        if not _truth(f, assign):
-            return assign
-    return None
+    fr = frame(1)
+    _, wit = _sweep(fr, f, _valuation_chunks(fr, names[::-1]))
+    if wit is None:
+        return None
+    return {nm: bool(wit.valuation.map[nm]) for nm in names}
 
 
 def classically_valid(f: Formula, max_atoms: int = MAX_CLASSICAL_ATOMS) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Mapping
 
 from .errors import LimitError, SelfCheckError, UnknownAtomError
@@ -148,27 +148,60 @@ def frame(n: int) -> MedvedevFrame:
     return MedvedevFrame(n)
 
 
+# --- packed world sets ----------------------------------------------------------
+#
+# Several valuations are evaluated at once by packing their world sets into
+# one int: valuation ``v`` owns block ``v`` of ``max(8, 2**n)`` bits, and world
+# ``mask`` is bit ``mask - 1`` of its block.  Blocks are byte-aligned, and a
+# single block is an ordinary world bitset.  Adding generator ``i`` to a world
+# moves its bit ``2**i`` places up within the block, so closing a set up or
+# down the order takes one shift-and-mask step per generator (the superset
+# zeta transform).
+
+def _block_bits(n: int) -> int:
+    return max(8, 1 << n)
+
+
+def _repeat(pattern: int, width: int, times: int) -> int:
+    """``pattern`` of ``width`` bits repeated ``times`` times, lowest first."""
+    return pattern * (((1 << width * times) - 1) // ((1 << width) - 1))
+
+
+@lru_cache(maxsize=64)
+def _layout(n: int, count: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """For ``count`` packed blocks of ``M_n``: the bits of all worlds, and per
+    generator ``i`` the shift ``2**i`` with the bits of the worlds that hold
+    generator ``i`` and at least one other."""
+    block = _block_bits(n)
+    steps = []
+    for i in range(n):
+        shift = 1 << i
+        # bit m set for the masks m < 2**n holding generator i
+        holders = _repeat(((1 << shift) - 1) << shift, 2 * shift, 1 << (n - 1 - i))
+        mask = (holders >> 1) & ~(1 << (shift - 1))  # to bit m - 1; drop m == 2**i
+        steps.append((shift, _repeat(mask, block, count)))
+    return _repeat(frame(n).all_worlds, block, count), tuple(steps)
+
+
+def _down(bits: int, steps) -> int:
+    """Worlds below some world of ``bits``: generators added one at a time."""
+    for shift, mask in steps:
+        bits |= (bits << shift) & mask
+    return bits
+
+
 # --- up-sets ----------------------------------------------------------------
 
 def close_up(fr: MedvedevFrame, bits: int) -> UpSet:
-    """Upward closure of an arbitrary set of worlds."""
-    out = 0
-    todo = bits
-    while todo:
-        lsb = todo & -todo
-        todo ^= lsb
-        out |= fr.up_bits(lsb.bit_length())
-    return out
+    """Upward closure of any set of worlds: generators removed one at a time."""
+    for shift, mask in _layout(fr.n, 1)[1]:
+        bits |= (bits & mask) >> shift
+    return bits
 
 
 def down_closure(fr: MedvedevFrame, bits: int) -> int:
-    out = 0
-    todo = bits
-    while todo:
-        lsb = todo & -todo
-        todo ^= lsb
-        out |= fr.down_bits(lsb.bit_length())
-    return out
+    """Downward closure of any set of worlds."""
+    return _down(bits, _layout(fr.n, 1)[1])
 
 
 def is_upset(fr: MedvedevFrame, bits: int) -> bool:
@@ -296,8 +329,11 @@ def compile_formula(f: Formula) -> list[tuple]:
 
 
 def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, UpSet],
-                strict: bool = True) -> int:
-    all_w = fr.all_worlds
+                strict: bool = True, count: int = 1) -> int:
+    """Worlds forcing the last instruction of ``prog`` under ``count`` packed
+    valuations; ``atom_bits`` holds each atom's packed world sets.  With
+    ``count == 1`` atoms and result are plain world bitsets."""
+    all_w, steps = _layout(fr.n, count)
     out: list[int] = []
     for op, a, b in prog:
         if op == _AND:
@@ -311,10 +347,10 @@ def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, Up
                     raise UnknownAtomError(f"valuation does not interpret atom {a!r}")
                 v = 0
         elif op == _NEG:
-            v = all_w ^ down_closure(fr, out[a])
+            v = all_w ^ _down(out[a], steps)
         elif op == _IMP:
             bad = out[a] & (all_w ^ out[b])
-            v = all_w ^ down_closure(fr, bad) if bad else all_w
+            v = all_w ^ _down(bad, steps) if bad else all_w
         else:
             v = all_w if a else 0
         out.append(v)
@@ -422,58 +458,15 @@ def exhaustive_cost(fr: MedvedevFrame, atom_count: int) -> int | None:
     return count**atom_count * fr.world_count
 
 
-# --- bit-sliced exhaustive sweep ---------------------------------------------
+# --- sweeps -------------------------------------------------------------------
 #
-# Valuation ``v`` (in ``iter_valuations`` order) is bit ``v`` of a column: for
-# every program slot and world one int holds that slot's truth value at that
-# world under all valuations of a chunk at once.  An atom with ``stride``
-# inner atoms after it has up-set index ``v // stride % U`` at valuation
-# ``v``, so its column is a run pattern over the up-sets containing the world.
+# A sweep evaluates a chunk of valuations in one packed ``run_program`` call.
+# The lowest failing bit of a chunk names its first failing valuation and,
+# within that valuation's block, the failing world of smallest mask.
 
-# Valuations per chunk of the sweep; bounds every column's width, hence the
-# memory of a sweep on M_4 and beyond.
+# Valuations per chunk of an exhaustive sweep; bounds the width of every packed
+# value, hence the memory of a sweep on M_4 and beyond.
 _CHUNK_VALUATIONS = 1 << 16
-
-
-@lru_cache(maxsize=8)
-def _upset_columns(n: int) -> tuple[int, ...]:
-    """Per world, the bitset over up-set indices of the up-sets containing it."""
-    fr = frame(n)
-    stride = (fr.world_count + 7) // 8
-    packed = b"".join(u.to_bytes(stride, "little") for u in _upset_list(n))
-    cols = []
-    for w in fr.worlds():
-        bit = 1 << (w - 1) % 8
-        digit = bytes(49 if byte & bit else 48 for byte in range(256))  # b"1" / b"0"
-        # one byte per up-set, lowest index last so int() reads it as bit 0
-        cols.append(int(packed[(w - 1) // 8::stride].translate(digit)[::-1], 2))
-    return tuple(cols)
-
-
-@lru_cache(maxsize=64)
-def _run_columns(n: int, first: int, count: int, run: int, reps: int) -> tuple[int, ...]:
-    """Per world: up-sets ``first .. first+count-1`` as runs of ``run`` bits
-    each (set where the up-set holds the world), the whole repeated ``reps``
-    times."""
-    width = count * run
-    repunit = ((1 << width * reps) - 1) // ((1 << width) - 1)
-    widen = {48: "0" * run, 49: "1" * run}
-    return tuple(
-        int(format(col >> first & ((1 << count) - 1), f"0{count}b").translate(widen), 2)
-        * repunit
-        for col in _upset_columns(n)
-    )
-
-
-def _atom_columns(n: int, start: int, length: int, stride: int) -> tuple[int, ...]:
-    """Per world, the atom's column over valuations ``start .. start+length-1``."""
-    u = UPSET_COUNTS[n]
-    first = start // stride % u
-    if length <= stride:  # the atom is fixed within the chunk
-        full = (1 << length) - 1
-        return tuple(full if col >> first & 1 else 0 for col in _upset_columns(n))
-    count = min(u, length // stride)
-    return _run_columns(n, first, count, stride, length // (count * stride))
 
 
 def _chunks(u: int, atom_count: int) -> Iterator[tuple[int, int]]:
@@ -496,58 +489,74 @@ def _chunks(u: int, atom_count: int) -> Iterator[tuple[int, int]]:
             yield (base + first) * inner, min(piece, u - first) * inner
 
 
-@lru_cache(maxsize=None)
-def _zeta_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """World-index pairs ``(w, w minus one generator)``, grouped by generator.
-
-    OR-ing column ``u`` into column ``w`` along them, in order, replaces each
-    world's column by the OR over its up-cone (the superset zeta transform).
-    """
-    return tuple((m - 1, (m ^ 1 << i) - 1)
-                 for i in range(n) for m in range(1, 1 << n)
-                 if m >> i & 1 and m != 1 << i)
-
-
-def _not_up(pairs, full: int, cols: list[int]) -> list[int]:
-    """Per world: valuations under which no world of its up-cone is in ``cols``."""
-    cols = list(cols)
-    for w, u in pairs:
-        cols[w] |= cols[u]
-    return [full ^ c for c in cols]
+@lru_cache(maxsize=16)
+def _upset_runs(n: int, first: int, count: int, run: int, reps: int) -> int:
+    """Up-sets ``first .. first+count-1`` of ``M_n``, packed, each over ``run``
+    consecutive valuations, the whole repeated ``reps`` times."""
+    ups = _upset_list(n)
+    size = _block_bits(n) // 8
+    blocks = b"".join(ups[j].to_bytes(size, "little") * run
+                      for j in range(first, first + count))
+    return int.from_bytes(blocks * reps, "little")
 
 
-def _first_failure(fr: MedvedevFrame, prog: list[tuple],
-                   names: list[str]) -> tuple[int, World] | None:
-    """(valuation index, least failing world) of the first valuation under
-    which ``prog`` fails somewhere, or None if it holds everywhere."""
-    u = UPSET_COUNTS[fr.n]
+def _valuation_chunks(fr: MedvedevFrame, names: list[str]) -> Iterator[tuple]:
+    """Every valuation over ``names`` in ``iter_valuations`` order, by chunks:
+    (start, length, packed atom values, valuation at an offset in the chunk)."""
+    ups = _upset_list(fr.n)
+    u = len(ups)
+    # an atom with ``stride`` valuations per up-set has up-set index
+    # ``v // stride % u`` at valuation ``v``
     strides = {nm: u ** (len(names) - 1 - i) for i, nm in enumerate(names)}
-    pairs = _zeta_pairs(fr.n)
+
+    def at(start: int, offset: int) -> Valuation:
+        index = start + offset
+        return Valuation(fr, {nm: ups[index // s % u] for nm, s in strides.items()})
+
     for start, length in _chunks(u, len(names)):
-        full = (1 << length) - 1
-        out: list = []
-        for op, a, b in prog:
-            if op == _AND:
-                v = [x & y for x, y in zip(out[a], out[b])]
-            elif op == _OR:
-                v = [x | y for x, y in zip(out[a], out[b])]
-            elif op == _ATOM:
-                v = _atom_columns(fr.n, start, length, strides[a])
-            elif op == _NEG:
-                v = _not_up(pairs, full, out[a])
-            elif op == _IMP:
-                v = _not_up(pairs, full, [x & (full ^ y) for x, y in zip(out[a], out[b])])
-            else:
-                v = [full if a else 0] * fr.world_count
-            out.append(v)
-        fails = 0
-        for col in out[-1]:
-            fails |= full ^ col
+        atom_bits = {}
+        for nm, stride in strides.items():
+            run = min(stride, length)  # the whole chunk when the atom is fixed in it
+            count = min(u, length // run)
+            atom_bits[nm] = _upset_runs(fr.n, start // stride % u, count, run,
+                                        length // (count * run))
+        yield start, length, atom_bits, partial(at, start)
+
+
+def _sample_chunks(fr: MedvedevFrame, names: list[str], count: int,
+                   seed: int) -> Iterator[tuple]:
+    """``count`` seeded ``sample_valuation`` draws, by chunks of doubling length:
+    (start, length, packed atom values, valuation at an offset in the chunk)."""
+    rng = random.Random(seed)
+    size = _block_bits(fr.n) // 8
+    cap = max(1, _CHUNK_VALUATIONS // fr.world_count)
+    start, length = 0, 1
+    while start < count:
+        length = min(length, count - start)
+        drawn = [sample_valuation(fr, names, rng) for _ in range(length)]
+        atom_bits = {nm: int.from_bytes(b"".join(v.map[nm].to_bytes(size, "little")
+                                                 for v in drawn), "little")
+                     for nm in names}
+        yield start, length, atom_bits, drawn.__getitem__
+        start += length
+        length = min(2 * length, cap)
+
+
+def _sweep(fr: MedvedevFrame, f: Formula,
+           chunks: Iterator[tuple]) -> tuple[int, RefutationWitness | None]:
+    """(valuations checked, witness) of ``f`` over ``chunks``, stopping at the
+    first failing valuation; the witness is None when every valuation passed."""
+    prog = compile_formula(f)
+    block = _block_bits(fr.n)
+    checked = 0
+    for start, length, atom_bits, at in chunks:
+        fails = _layout(fr.n, length)[0] ^ run_program(fr, prog, atom_bits, count=length)
         if fails:
             bit = (fails & -fails).bit_length() - 1
-            w = next(w for w, col in enumerate(out[-1], 1) if not col >> bit & 1)
-            return start + bit, w
-    return None
+            offset, w = divmod(bit, block)
+            return start + offset + 1, RefutationWitness(fr.n, at(offset), w + 1, f)
+        checked = start + length
+    return checked, None
 
 
 def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
@@ -558,48 +567,29 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
     ``mode``: "exhaustive" (``LimitError`` when the sweep's
     ``exhaustive_cost`` is unsupported or over ``budget``), "sample", or
     "auto" (exhaustive when the cost is within ``budget``, sampled
-    otherwise); ``ValidityResult.exhaustive`` reports which ran.
+    otherwise); ``ValidityResult.exhaustive`` reports which ran.  A negative
+    ``count`` is a ``ValueError`` in every mode.
 
-    Exhaustive mode reports the first failing valuation in enumeration order
-    (``iter_valuations``), choosing the failing world of smallest mask; it
-    evaluates all valuations of a chunk at once, one bitset per subformula
-    and world.  Sampling is deterministic in ``seed``.
+    Valuations run in enumeration order (``iter_valuations``) or in the order
+    sampled, deterministically in ``seed``; the witness is the first failing
+    one, at its failing world of smallest mask.  Both modes evaluate chunks
+    of valuations packed into one ``run_program`` call.
     """
     if mode not in ("exhaustive", "sample", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
+    if count < 0:
+        raise ValueError(f"sample count must be non-negative, got {count}")
     names = atoms(f)
     cost = exhaustive_cost(fr, len(names))
-    within = cost is not None and cost <= budget
-    if mode == "exhaustive" and not within:
+    exhaustive = mode != "sample" and cost is not None and cost <= budget
+    if mode == "exhaustive" and not exhaustive:
         raise LimitError(
             f"exhaustive sweep over {fr!r} with {len(names)} atoms exceeds budget"
         )
-    prog = compile_formula(f)
-    all_w = fr.all_worlds
-
-    if mode != "sample" and within:
-        ups = _upset_list(fr.n)
-        found = _first_failure(fr, prog, names)
-        if found is None:
-            return ValidityResult(True, True, len(ups) ** len(names))
-        index, w = found
-        digits = []  # up-set index per atom, last atom first
-        rest = index
-        for _ in names:
-            rest, j = divmod(rest, len(ups))
-            digits.append(j)
-        val = Valuation(fr, {nm: ups[j] for nm, j in zip(names, reversed(digits))})
-        return ValidityResult(False, True, index + 1, RefutationWitness(fr.n, val, w, f))
-
-    rng = random.Random(seed)
-    for i in range(count):
-        val = sample_valuation(fr, names, rng)
-        ts = run_program(fr, prog, val.map)
-        if ts != all_w:
-            w = ((all_w ^ ts) & -(all_w ^ ts)).bit_length()
-            wit = RefutationWitness(fr.n, val, w, f)
-            return ValidityResult(False, False, i + 1, wit)
-    return ValidityResult(True, False, count)
+    chunks = (_valuation_chunks(fr, names) if exhaustive
+              else _sample_chunks(fr, names, count, seed))
+    checked, wit = _sweep(fr, f, chunks)
+    return ValidityResult(wit is None, exhaustive, checked, wit)
 
 
 def refute(f: Formula, max_n: int, strategy: str = "auto", *,

@@ -107,6 +107,14 @@ def test_check_sampled_inconclusive_exit_2(capsys):
     assert "40 sampled" in out
 
 
+def test_check_negative_count_exits_3(capsys):
+    # a negative sample count is a usage error, not an inconclusive sweep
+    code, out, err = run(capsys, "check", "p | ~p", "--n", "1",
+                         "--mode", "sample", "--count", "-5")
+    assert (code, out) == (3, "")
+    assert "non-negative" in err
+
+
 def test_check_rejects_oversized_frame(capsys):
     code, _, err = run(capsys, "check", "p -> p", "--n", "9")
     assert code == 3

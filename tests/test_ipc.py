@@ -5,8 +5,9 @@ import random
 import pytest
 
 from medlog.errors import SearchBudgetError
-from medlog.formula import Neg, Substitution, apply_subst, parse, render
+from medlog.formula import Neg, Substitution, apply_subst, atoms, parse, render
 from medlog.ipc import (
+    _truth,
     classical_countermodel,
     classically_valid,
     ipc_provable,
@@ -111,6 +112,26 @@ def test_classical_countermodel_first_in_counting_order():
     assert classical_countermodel(parse("p | ~p")) is None
     assert classical_countermodel(parse("T")) is None
     assert classical_countermodel(parse("F")) == {}
+
+
+def test_classical_countermodel_matches_assignment_loop():
+    # the M_1 sweep against a truth table walked in binary counting order
+    rng = random.Random(31)
+    found = 0
+    for _ in range(600):
+        f = random_formula(rng, list("abcdef")[:rng.randrange(7)], rng.randrange(1, 6))
+        names = atoms(f)
+        expected = None
+        for bits in range(1 << len(names)):
+            assign = {nm: bool(bits >> i & 1) for i, nm in enumerate(names)}
+            if not _truth(f, assign):
+                expected = assign
+                break
+        got = classical_countermodel(f)
+        assert got == expected, render(f)
+        assert got is None or list(got) == names
+        found += got is not None
+    assert 0 < found < 600
 
 
 def test_countermodel_falsifies():

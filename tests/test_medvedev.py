@@ -142,6 +142,24 @@ def test_close_up_down_closure_roundtrip():
         assert close_up(fr, up) == up
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_closures_match_unions_of_cones(n):
+    # the shift-and-mask closures against the per-world cone definitions
+    fr = frame(n)
+    rng = random.Random(90 + n)
+    for k in (0, 1, 2, 3, 5, 8, 20):
+        for _ in range(4):
+            ws = rng.sample(range(1, fr.world_count + 1), min(k, fr.world_count))
+            up = down = 0
+            for w in ws:
+                up |= fr.up_bits(w)
+                down |= fr.down_bits(w)
+            bits = upset_from_worlds(fr, ws)
+            assert close_up(fr, bits) == up, (n, ws)
+            assert down_closure(fr, bits) == down, (n, ws)
+    assert close_up(fr, fr.all_worlds) == down_closure(fr, fr.all_worlds) == fr.all_worlds
+
+
 # --- up-set enumeration -------------------------------------------------
 
 def test_upset_counts_small():
@@ -406,6 +424,63 @@ def test_exhaustive_sweep_small_chunks_match_per_valuation_loop(monkeypatch, bou
                 at_end += 1 < length == index - start + 1
     # some refutations open a later chunk, some close a chunk of several
     assert at_start and (at_end or bound == 1)
+
+
+# --- packed sampling against one valuation at a time -------------------
+
+def reference_sample(fr, f, count, seed):
+    """(valid, checked, witness valuation, witness world) by one
+    ``run_program`` call per seeded ``sample_valuation`` draw."""
+    rng = random.Random(seed)
+    prog = compile_formula(f)
+    names = atoms(f)
+    for i in range(count):
+        val = sample_valuation(fr, names, rng)
+        bad = fr.all_worlds ^ run_program(fr, prog, val.map, count=1)
+        if bad:
+            return False, i + 1, val.map, (bad & -bad).bit_length()
+    return True, count, None, None
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sampling_matches_per_sample_loop(n):
+    fr = frame(n)
+    rng = random.Random(60 + n)
+    # a disjunction of k atoms fails under a draw about once in 2**k, so its
+    # first failure lands in later chunks of the doubling sequence
+    rare = [(parse(" | ".join("pqrstu"[:k])), seed)
+            for k in (2, 3, 4, 5, 6) for seed in range(4)]
+    refuted_at = set()
+    for count in (1, 2, 3, 7, 100, 300):
+        corpus = rare + [(random_formula(rng, ["p", "q", "r"][:rng.randrange(4)],
+                                         rng.randrange(1, 6)), seed) for seed in range(10)]
+        for f, seed in corpus:
+            res = valid_on(fr, f, "sample", count=count, seed=seed)
+            assert not res.exhaustive
+            got = (res.valid, res.checked,
+                   res.witness and res.witness.valuation.map, res.witness and res.witness.world)
+            assert got == reference_sample(fr, f, count, seed), (count, seed, render(f))
+            if not res.valid:
+                refuted_at.add(res.checked)
+    # chunk k holds draws 2**k .. 2**(k+1) - 1: refutations in chunks 0 to 3 at least
+    assert {c.bit_length() for c in refuted_at} >= {1, 2, 3, 4}
+
+
+def test_packed_run_program_matches_single_calls():
+    rng = random.Random(71)
+    names = ["p", "q", "r"]
+    for n in range(1, 9):
+        fr = frame(n)
+        block = max(8, 1 << n)
+        for k in (1, 2, 3, 7, 20):
+            vals = [sample_valuation(fr, names, rng) for _ in range(k)]
+            packed = {nm: sum(v.map[nm] << i * block for i, v in enumerate(vals))
+                      for nm in names}
+            prog = compile_formula(random_formula(rng, names, 5))
+            got = run_program(fr, prog, packed, count=k)
+            for i, v in enumerate(vals):
+                assert got >> i * block & (1 << block) - 1 == run_program(fr, prog, v.map)
+            assert got >> k * block == 0
 
 
 # --- subframes and block embeddings ------------------------------------
