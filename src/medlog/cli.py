@@ -8,6 +8,7 @@ for a fixed command line (JSON is emitted with sorted keys).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -292,6 +293,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on first use, not at import
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="medlog", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

@@ -232,41 +232,64 @@ def _child(f: Formula, level: int, is_left: bool) -> str:
 
 # --- structure helpers -------------------------------------------------------
 
+def _dag(f: Formula) -> tuple[list[Formula], list[tuple[int, ...]]]:
+    """Structurally distinct subformulas of ``f``, children before parents and
+    left before right, with the positions of each node's children.
+
+    The walk keeps its own stack and hashes no formula: a node's key is
+    ``(type, name)`` for an atom and ``(type, child positions)`` otherwise,
+    and objects map to positions by ``id``, which is safe because ``f`` keeps
+    every node alive for the call.
+    """
+    nodes: list[Formula] = []
+    kids: list[tuple[int, ...]] = []
+    index: dict[tuple, int] = {}
+    pos: dict[int, int] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in pos:
+            stack.pop()
+            continue
+        t = type(g)
+        if t is And or t is Or or t is Imp:
+            a, b = pos.get(id(g.lhs)), pos.get(id(g.rhs))
+            if a is None or b is None:
+                if b is None:
+                    stack.append(g.rhs)
+                if a is None:
+                    stack.append(g.lhs)
+                continue
+            key = (t, a, b)
+        elif t is Neg:
+            a = pos.get(id(g.body))
+            if a is None:
+                stack.append(g.body)
+                continue
+            key = (t, a)
+        elif t is Atom:
+            key = (t, g.name)
+        elif t is Bot or t is Top:
+            key = (t,)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        stack.pop()
+        i = index.setdefault(key, len(nodes))
+        if i == len(nodes):
+            nodes.append(g)
+            kids.append(() if t is Atom else key[1:])
+        pos[id(g)] = i
+    return nodes, kids
+
+
 def atoms(f: Formula) -> list[str]:
     """Atom identifiers in first-occurrence order."""
-    seen: dict[str, None] = {}
-
-    def walk(g: Formula):
-        match g:
-            case Atom(name):
-                seen.setdefault(name, None)
-            case Neg(body):
-                walk(body)
-            case And(a, b) | Or(a, b) | Imp(a, b):
-                walk(a)
-                walk(b)
-
-    walk(f)
-    return list(seen)
+    return [g.name for g in _dag(f)[0] if type(g) is Atom]
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     """All distinct subformulas, children before parents."""
-    seen: set[Formula] = set()
-
-    def walk(g: Formula) -> Iterator[Formula]:
-        if g in seen:
-            return
-        seen.add(g)
-        match g:
-            case Neg(body):
-                yield from walk(body)
-            case And(a, b) | Or(a, b) | Imp(a, b):
-                yield from walk(a)
-                yield from walk(b)
-        yield g
-
-    yield from walk(f)
+    yield from _dag(f)[0]
 
 
 def big_or(parts: Iterable[Formula]) -> Formula:
@@ -315,29 +338,14 @@ class Substitution:
 
 
 def apply_subst(s: Substitution, f: Formula) -> Formula:
-    memo: dict[Formula, Formula] = {}
-
-    def go(g: Formula) -> Formula:
-        out = memo.get(g)
-        if out is not None:
-            return out
-        match g:
-            case Atom(name):
-                out = s.lookup(name)
-            case Bot() | Top():
-                out = g
-            case Neg(body):
-                out = Neg(go(body))
-            case And(a, b):
-                out = And(go(a), go(b))
-            case Or(a, b):
-                out = Or(go(a), go(b))
-            case Imp(a, b):
-                out = Imp(go(a), go(b))
-        memo[g] = out
-        return out
-
-    return go(f)
+    nodes, kids = _dag(f)
+    out: list[Formula] = []
+    for g, k in zip(nodes, kids):
+        if type(g) is Atom:
+            out.append(s.lookup(g.name))
+        else:
+            out.append(type(g)(*[out[i] for i in k]) if k else g)
+    return out[-1]
 
 
 def compose(outer: Substitution, inner: Substitution) -> Substitution:

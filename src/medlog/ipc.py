@@ -24,6 +24,7 @@ from .formula import (
     Neg,
     Or,
     Top,
+    _dag,
     atoms,
 )
 from .medvedev import _sweep, _valuation_chunks, frame
@@ -35,27 +36,15 @@ MAX_CLASSICAL_ATOMS = 20
 
 def _desugar(f: Formula) -> Formula:
     """Replace ~x by x -> F for the prover's internal use."""
-    memo: dict[Formula, Formula] = {}
-
-    def go(g: Formula) -> Formula:
-        out = memo.get(g)
-        if out is not None:
-            return out
-        match g:
-            case Neg(body):
-                out = Imp(go(body), BOT)
-            case And(a, b):
-                out = And(go(a), go(b))
-            case Or(a, b):
-                out = Or(go(a), go(b))
-            case Imp(a, b):
-                out = Imp(go(a), go(b))
-            case _:
-                out = g
-        memo[g] = out
-        return out
-
-    return go(f)
+    nodes, kids = _dag(f)
+    out: list[Formula] = []
+    for g, k in zip(nodes, kids):
+        args = [out[i] for i in k]
+        if type(g) is Neg:
+            out.append(Imp(args[0], BOT))
+        else:
+            out.append(type(g)(*args) if k else g)
+    return out[-1]
 
 
 class _Prover:

@@ -66,11 +66,11 @@ def _checked(v: int, g: Formula, cap: int) -> int:
 
 def kp_rank(f: Formula, cap: int = RANK_CAP) -> Rank:
     """Disjunct count of the normal form, or infinity; never wraps past ``cap``."""
-    memo: dict[Formula, int | None] = {}
+    memo: dict[int, int | None] = {}  # by id: f keeps every node alive
 
     def go(g: Formula) -> int | None:
-        if g in memo:
-            return memo[g]
+        if id(g) in memo:
+            return memo[id(g)]
         r: int | None
         match g:
             case Neg(_) | Bot() | Top():
@@ -93,7 +93,7 @@ def kp_rank(f: Formula, cap: int = RANK_CAP) -> Rank:
                     r = 1
                     for _ in range(x):
                         r = _checked(r * y, g, cap)
-        memo[g] = r
+        memo[id(g)] = r
         return r
 
     return Rank(go(f))
@@ -121,14 +121,14 @@ def kp_normalize(f: Formula, cap: int = RANK_CAP) -> NegDisjunction:
     ``g`` is ``(~x1 & y_g(1)) | ... | (~xm & y_g(m))``, using the
     intuitionistic equivalence of ``~x -> ~y`` with ``~(~x & y)``.
     """
-    memo: dict[Formula, tuple[Formula, ...]] = {}
+    memo: dict[int, tuple[Formula, ...]] = {}  # by id: f keeps every node alive
 
     def check_len(k: int, g: Formula) -> None:
         _checked(k, g, cap)
 
     def go(g: Formula) -> tuple[Formula, ...]:
-        if g in memo:
-            return memo[g]
+        if id(g) in memo:
+            return memo[id(g)]
         out: tuple[Formula, ...]
         match g:
             case Neg(a):
@@ -156,7 +156,7 @@ def kp_normalize(f: Formula, cap: int = RANK_CAP) -> NegDisjunction:
                 raise InfiniteRankError(
                     f"{render(g)} has no finite rank; cannot normalize"
                 )
-        memo[g] = out
+        memo[id(g)] = out
         return out
 
     return NegDisjunction(go(f))

@@ -23,12 +23,12 @@ from .errors import LimitError, SelfCheckError, UnknownAtomError
 from .formula import (
     And,
     Atom,
-    Bot,
     Formula,
     Imp,
     Neg,
     Or,
     Top,
+    _dag,
     atoms,
     parse,
     render,
@@ -292,39 +292,23 @@ def valuation_from_obj(fr: MedvedevFrame, obj: Mapping[str, Iterable[Iterable[in
 # --- forcing -----------------------------------------------------------------
 
 _ATOM, _CONST, _AND, _OR, _NEG, _IMP = range(6)
+_BINARY = {And: _AND, Or: _OR, Imp: _IMP}
 
 
 def compile_formula(f: Formula) -> list[tuple]:
     """Postorder program over structurally distinct subformulas."""
-    slots: dict[Formula, int] = {}
+    nodes, kids = _dag(f)
     prog: list[tuple] = []
-
-    def go(g: Formula) -> int:
-        idx = slots.get(g)
-        if idx is not None:
-            return idx
-        match g:
-            case Atom(name):
-                ins = (_ATOM, name, 0)
-            case Bot():
-                ins = (_CONST, 0, 0)
-            case Top():
-                ins = (_CONST, 1, 0)
-            case Neg(body):
-                ins = (_NEG, go(body), 0)
-            case And(a, b):
-                ins = (_AND, go(a), go(b))
-            case Or(a, b):
-                ins = (_OR, go(a), go(b))
-            case Imp(a, b):
-                ins = (_IMP, go(a), go(b))
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
-        prog.append(ins)
-        slots[g] = len(prog) - 1
-        return slots[g]
-
-    go(f)
+    for g, k in zip(nodes, kids):
+        t = type(g)
+        if t is Atom:
+            prog.append((_ATOM, g.name, 0))
+        elif t is Neg:
+            prog.append((_NEG, k[0], 0))
+        elif k:
+            prog.append((_BINARY[t], *k))
+        else:
+            prog.append((_CONST, 1 if t is Top else 0, 0))
     return prog
 
 

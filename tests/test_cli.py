@@ -54,6 +54,11 @@ def test_normalize_infinite_rank_exits_3(capsys):
     assert "finite rank" in err
 
 
+def test_normalize_names_the_first_infinite_skeleton_leaf(capsys):
+    assert run(capsys, "normalize", "~p | q | p") == (
+        3, "", "error: q has no finite rank; cannot normalize\n")
+
+
 def test_normalize_golden(capsys):
     code, out, _ = run(capsys, "normalize", "~p -> ~q | ~r")
     assert code == 0
@@ -172,6 +177,20 @@ def test_subst_on_a_wide_universal_substitution(tmp_path, capsys):
     assert last.startswith("image: ")
     image = last.removeprefix("image: ")
     assert render(parse(image)) == image
+
+
+def test_commands_on_a_wide_universal_substitution_image(tmp_path, capsys):
+    # formula hashing recursed once per member of this 511-member image
+    val = tmp_path / "val.json"
+    val.write_text(json.dumps({"p": [[1, 2, 3, 4, 5, 6, 7, 8, 9]]}))
+    _, out, _ = run(capsys, "subst", "p", "--n", "9", "--valuation", str(val))
+    img = tmp_path / "image.txt"
+    img.write_text(out.splitlines()[-1].removeprefix("image: "))
+    assert run(capsys, "check", "--file", str(img), "--n", "1") == (
+        0, "valid on M_1 (16 valuations)\n", "")
+    assert run(capsys, "refute", "--file", str(img), "--max-n", "1") == (
+        2, "no refutation found up to M_1\n", "")
+    assert run(capsys, "rank", "--file", str(img)) == (0, "511\n", "")
 
 
 def test_subst_missing_file_exits_3(capsys):

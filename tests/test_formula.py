@@ -178,3 +178,159 @@ def test_substitution_composition_agrees_with_sequential_application():
         comp = compose(outer, inner)
         f = random_formula(rng, names, 4)
         assert apply_subst(comp, f) == apply_subst(outer, apply_subst(inner, f))
+
+
+# --- the shared DAG walk against the recursive memoized passes it replaced ---
+
+def _ref_compile(f):
+    from medlog.medvedev import _AND, _ATOM, _CONST, _IMP, _NEG, _OR
+
+    slots, prog = {}, []
+
+    def go(g):
+        idx = slots.get(g)
+        if idx is not None:
+            return idx
+        match g:
+            case Atom(name):
+                ins = (_ATOM, name, 0)
+            case Bot():
+                ins = (_CONST, 0, 0)
+            case Top():
+                ins = (_CONST, 1, 0)
+            case Neg(body):
+                ins = (_NEG, go(body), 0)
+            case And(a, b):
+                ins = (_AND, go(a), go(b))
+            case Or(a, b):
+                ins = (_OR, go(a), go(b))
+            case Imp(a, b):
+                ins = (_IMP, go(a), go(b))
+        prog.append(ins)
+        slots[g] = len(prog) - 1
+        return slots[g]
+
+    go(f)
+    return prog
+
+
+def _ref_atoms(f):
+    seen = {}
+
+    def walk(g):
+        match g:
+            case Atom(name):
+                seen.setdefault(name, None)
+            case Neg(body):
+                walk(body)
+            case And(a, b) | Or(a, b) | Imp(a, b):
+                walk(a)
+                walk(b)
+
+    walk(f)
+    return list(seen)
+
+
+def _ref_subformulas(f):
+    seen = set()
+
+    def walk(g):
+        if g in seen:
+            return
+        seen.add(g)
+        match g:
+            case Neg(body):
+                yield from walk(body)
+            case And(a, b) | Or(a, b) | Imp(a, b):
+                yield from walk(a)
+                yield from walk(b)
+        yield g
+
+    yield from walk(f)
+
+
+def _ref_rebuild(f, leaf, neg):
+    """Recursive memoized rebuild: ``apply_subst`` maps atoms by lookup and
+    keeps ``Neg``; ``_desugar`` keeps atoms and turns ``~x`` into ``x -> F``."""
+    memo = {}
+
+    def go(g):
+        out = memo.get(g)
+        if out is not None:
+            return out
+        match g:
+            case Atom():
+                out = leaf(g)
+            case Neg(body):
+                out = neg(go(body))
+            case And(a, b):
+                out = And(go(a), go(b))
+            case Or(a, b):
+                out = Or(go(a), go(b))
+            case Imp(a, b):
+                out = Imp(go(a), go(b))
+            case _:
+                out = g
+        memo[g] = out
+        return out
+
+    return go(f)
+
+
+def _dag_corpus():
+    from medlog.alpha import universal_subst
+    from medlog.medvedev import frame, sample_valuation
+    from medlog.randgen import random_formula
+
+    rng = random.Random(2006)
+    names = ["p", "q", "r", "s"]
+    corpus = []
+    for i in range(300):
+        f = random_formula(rng, names[:i % 5], depth=5)
+        copy = parse(render(f))  # equal to f, but a distinct object
+        corpus += [f, copy, Or(f, copy), Imp(copy, And(f, Neg(copy)))]
+    for n in (1, 2, 3, 4):
+        for _ in range(15):
+            sigma = universal_subst(n, sample_valuation(frame(n), ["p", "q"], rng))
+            corpus.append(apply_subst(sigma, random_formula(rng, ["p", "q"], depth=4)))
+    return corpus
+
+
+def test_structural_passes_match_recursive_references():
+    from medlog.ipc import _desugar
+    from medlog.medvedev import compile_formula
+
+    sigma = Substitution({"p": parse("q -> ~r"), "q": parse("p | T"), "r": parse("~~s")},
+                         default=parse("~~p"))
+    for f in _dag_corpus():
+        assert compile_formula(f) == _ref_compile(f), render(f)
+        assert atoms(f) == _ref_atoms(f)
+        assert list(map(id, subformulas(f))) == list(map(id, _ref_subformulas(f)))
+        image = apply_subst(sigma, f)
+        assert image == _ref_rebuild(f, lambda g: sigma.lookup(g.name), Neg)
+        assert compile_formula(image) == _ref_compile(image)
+        assert _desugar(f) == _ref_rebuild(f, lambda g: g, lambda b: Imp(b, BOT))
+
+
+def test_structural_passes_on_deep_chains():
+    from medlog.medvedev import compile_formula, frame, truth_set, valuation, world
+
+    p, q = Atom("p"), Atom("q")
+    negs = p
+    for _ in range(5000):
+        negs = Neg(negs)
+    ands = p
+    for i in range(5000):
+        ands = And(ands, q if i % 2 == 0 else p)
+    fr = frame(2)
+    val = valuation(fr, {"p": [world(1)], "q": [world(1), world(2)]})
+    sigma = Substitution({"p": q, "q": p})
+    for f, short in ((negs, parse("~~p")), (ands, parse("p & q"))):
+        prog = compile_formula(f)
+        assert len(prog) == 5001 + (f is ands)
+        assert atoms(f) == _ref_atoms(short)
+        subs = list(subformulas(f))
+        assert len(subs) == len(prog) and subs[-1] is f
+        swapped = compile_formula(apply_subst(sigma, f))
+        assert swapped == [(op, {"p": "q", "q": "p"}.get(a, a), b) for op, a, b in prog]
+        assert truth_set(fr, val, f) == truth_set(fr, val, short)

@@ -102,6 +102,13 @@ def test_normalize_rejects_infinite_rank():
             kp_normalize(parse(text))
 
 
+def test_normalize_names_the_first_infinite_skeleton_leaf():
+    # the skeleton walk meets q before the second p; a walk over all
+    # subformulas would list p (inside ~p) first
+    with pytest.raises(InfiniteRankError, match="^q has no finite rank"):
+        kp_normalize(parse("~p | q | p"))
+
+
 def test_normalize_count_always_matches_rank():
     rng = random.Random(41)
     for _ in range(100):

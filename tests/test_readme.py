@@ -1,7 +1,9 @@
-"""The README's library example runs as written."""
+"""The README's library and console examples run as written."""
 
+import json
 import pathlib
 import re
+import shlex
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -10,3 +12,18 @@ def test_readme_python_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_console_examples_match_the_cli(capsys):
+    from medlog.cli import main
+
+    block = re.search(r"```console\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    examples = re.findall(r"^\$ medlog (.*)\n((?:(?!\$ ).*\n)*)", block.group(1), re.M)
+    assert len(examples) == 5
+    for command, expected in examples:
+        main(shlex.split(command))
+        out = capsys.readouterr().out
+        if expected.startswith("{"):  # shown compacted, printed indented
+            assert json.loads(out) == json.loads(expected), command
+        else:
+            assert out == expected, command
