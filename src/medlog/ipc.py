@@ -25,9 +25,8 @@ from .formula import (
     Or,
     Top,
     _dag,
-    atoms,
 )
-from .medvedev import _sweep, _valuation_chunks, frame
+from .medvedev import _program_atoms, _sweep, _valuation_chunks, compile_formula, frame
 
 DEFAULT_BUDGET = 10**6
 
@@ -187,11 +186,12 @@ def classical_countermodel(f: Formula,
     ``M_1`` is classical logic (one world; up-sets empty and full), and its
     sweep varies the last atom fastest, so the atoms go in reversed.
     """
-    names = atoms(f)
+    prog = compile_formula(f)
+    names = _program_atoms(prog)
     if len(names) > max_atoms:
         raise LimitError(f"{len(names)} atoms exceeds the classical limit {max_atoms}")
     fr = frame(1)
-    _, wit = _sweep(fr, f, _valuation_chunks(fr, names[::-1]))
+    _, wit = _sweep(fr, f, prog, _valuation_chunks(fr, names[::-1]))
     if wit is None:
         return None
     return {nm: bool(wit.valuation.map[nm]) for nm in names}

@@ -64,13 +64,34 @@ def _checked(v: int, g: Formula, cap: int) -> int:
     return v
 
 
+def _skeleton(f: Formula) -> list[Formula]:
+    """The ``|``/``&``/``->`` nodes of ``f`` and the leaves below them
+    (negations, atoms, constants), children before parents and left before
+    right, each object once by ``id`` (``f`` keeps every node alive).  The
+    walk keeps its own stack and never enters a negation."""
+    out: list[Formula] = []
+    done: set[int] = set()
+    stack = [(f, False)]  # (node, children already pushed)
+    while stack:
+        g, expanded = stack.pop()
+        if id(g) in done:
+            continue
+        t = type(g)
+        if t is Or or t is And or t is Imp:
+            if not expanded:
+                stack += ((g, True), (g.rhs, False), (g.lhs, False))
+                continue
+        elif t not in (Neg, Atom, Bot, Top):
+            raise TypeError(f"not a formula: {g!r}")
+        done.add(id(g))
+        out.append(g)
+    return out
+
+
 def kp_rank(f: Formula, cap: int = RANK_CAP) -> Rank:
     """Disjunct count of the normal form, or infinity; never wraps past ``cap``."""
-    memo: dict[int, int | None] = {}  # by id: f keeps every node alive
-
-    def go(g: Formula) -> int | None:
-        if id(g) in memo:
-            return memo[id(g)]
+    rank: dict[int, int | None] = {}
+    for g in _skeleton(f):
         r: int | None
         match g:
             case Neg(_) | Bot() | Top():
@@ -78,13 +99,13 @@ def kp_rank(f: Formula, cap: int = RANK_CAP) -> Rank:
             case Atom(_):
                 r = None
             case Or(a, b):
-                x, y = go(a), go(b)
+                x, y = rank[id(a)], rank[id(b)]
                 r = None if x is None or y is None else _checked(x + y, g, cap)
             case And(a, b):
-                x, y = go(a), go(b)
+                x, y = rank[id(a)], rank[id(b)]
                 r = None if x is None or y is None else _checked(x * y, g, cap)
             case Imp(a, b):
-                x, y = go(a), go(b)
+                x, y = rank[id(a)], rank[id(b)]
                 if x is None or y is None:
                     r = None
                 elif y == 1:
@@ -93,10 +114,8 @@ def kp_rank(f: Formula, cap: int = RANK_CAP) -> Rank:
                     r = 1
                     for _ in range(x):
                         r = _checked(r * y, g, cap)
-        memo[id(g)] = r
-        return r
-
-    return Rank(go(f))
+        rank[id(g)] = r
+    return Rank(rank[id(f)])
 
 
 @dataclass(frozen=True)
@@ -121,14 +140,8 @@ def kp_normalize(f: Formula, cap: int = RANK_CAP) -> NegDisjunction:
     ``g`` is ``(~x1 & y_g(1)) | ... | (~xm & y_g(m))``, using the
     intuitionistic equivalence of ``~x -> ~y`` with ``~(~x & y)``.
     """
-    memo: dict[int, tuple[Formula, ...]] = {}  # by id: f keeps every node alive
-
-    def check_len(k: int, g: Formula) -> None:
-        _checked(k, g, cap)
-
-    def go(g: Formula) -> tuple[Formula, ...]:
-        if id(g) in memo:
-            return memo[id(g)]
+    bodies: dict[int, tuple[Formula, ...]] = {}
+    for g in _skeleton(f):
         out: tuple[Formula, ...]
         match g:
             case Neg(a):
@@ -138,16 +151,16 @@ def kp_normalize(f: Formula, cap: int = RANK_CAP) -> NegDisjunction:
             case Top():
                 out = (BOT,)
             case Or(a, b):
-                xs, ys = go(a), go(b)
-                check_len(len(xs) + len(ys), g)
+                xs, ys = bodies[id(a)], bodies[id(b)]
+                _checked(len(xs) + len(ys), g, cap)
                 out = xs + ys
             case And(a, b):
-                xs, ys = go(a), go(b)
-                check_len(len(xs) * len(ys), g)
+                xs, ys = bodies[id(a)], bodies[id(b)]
+                _checked(len(xs) * len(ys), g, cap)
                 out = tuple(Or(x, y) for x in xs for y in ys)
             case Imp(a, b):
-                xs, ys = go(a), go(b)
-                check_len(len(ys) ** len(xs), g)
+                xs, ys = bodies[id(a)], bodies[id(b)]
+                _checked(len(ys) ** len(xs), g, cap)
                 out = tuple(
                     big_or([And(Neg(x), ys[j]) for x, j in zip(xs, choice)])
                     for choice in itertools.product(range(len(ys)), repeat=len(xs))
@@ -156,32 +169,8 @@ def kp_normalize(f: Formula, cap: int = RANK_CAP) -> NegDisjunction:
                 raise InfiniteRankError(
                     f"{render(g)} has no finite rank; cannot normalize"
                 )
-        memo[id(g)] = out
-        return out
-
-    return NegDisjunction(go(f))
-
-
-def _skeleton_has_imp(f: Formula) -> bool:
-    """Does an implication occur above the negations?"""
-    match f:
-        case Imp(_, _):
-            return True
-        case And(a, b) | Or(a, b):
-            return _skeleton_has_imp(a) or _skeleton_has_imp(b)
-        case _:
-            return False
-
-
-def _skeleton_has_constant(f: Formula) -> bool:
-    """Is a constant ranked through ``F == ~T`` / ``T == ~F`` somewhere?"""
-    match f:
-        case Bot() | Top():
-            return True
-        case And(a, b) | Or(a, b) | Imp(a, b):
-            return _skeleton_has_constant(a) or _skeleton_has_constant(b)
-        case _:
-            return False
+        bodies[id(g)] = out
+    return NegDisjunction(bodies[id(f)])
 
 
 @dataclass(frozen=True)
@@ -236,7 +225,8 @@ def verify_normal_form(f: Formula, nd: NegDisjunction, bound: int = 3, *,
                        budget=max_exhaustive * fr.world_count)
         checks.append(FrameCheck.of(n, res))
 
-    needs_weak_kp = _skeleton_has_imp(f)
+    skeleton_types = {type(g) for g in _skeleton(f)}
+    needs_weak_kp = Imp in skeleton_types
     ipc_equivalent: bool | None = None
     if not needs_weak_kp:
         try:
@@ -252,5 +242,5 @@ def verify_normal_form(f: Formula, nd: NegDisjunction, bound: int = 3, *,
         frame_checks=tuple(checks),
         needs_weak_kp=needs_weak_kp,
         ipc_equivalent=ipc_equivalent,
-        constants_as_negations=_skeleton_has_constant(f),
+        constants_as_negations=Bot in skeleton_types or Top in skeleton_types,
     )

@@ -29,7 +29,6 @@ from .formula import (
     Or,
     Top,
     _dag,
-    atoms,
     parse,
     render,
 )
@@ -312,6 +311,11 @@ def compile_formula(f: Formula) -> list[tuple]:
     return prog
 
 
+def _program_atoms(prog: list[tuple]) -> list[str]:
+    """Atom names of a compiled formula: ``atoms(f)``, read off its program."""
+    return [a for op, a, _ in prog if op == _ATOM]
+
+
 def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, UpSet],
                 strict: bool = True, count: int = 1) -> int:
     """Worlds forcing the last instruction of ``prog`` under ``count`` packed
@@ -526,11 +530,11 @@ def _sample_chunks(fr: MedvedevFrame, names: list[str], count: int,
         length = min(2 * length, cap)
 
 
-def _sweep(fr: MedvedevFrame, f: Formula,
+def _sweep(fr: MedvedevFrame, f: Formula, prog: list[tuple],
            chunks: Iterator[tuple]) -> tuple[int, RefutationWitness | None]:
-    """(valuations checked, witness) of ``f`` over ``chunks``, stopping at the
-    first failing valuation; the witness is None when every valuation passed."""
-    prog = compile_formula(f)
+    """(valuations checked, witness) of ``f``, compiled to ``prog``, over
+    ``chunks``, stopping at the first failing valuation; the witness is None
+    when every valuation passed."""
     block = _block_bits(fr.n)
     checked = 0
     for start, length, atom_bits, at in chunks:
@@ -563,7 +567,8 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
         raise ValueError(f"unknown mode {mode!r}")
     if count < 0:
         raise ValueError(f"sample count must be non-negative, got {count}")
-    names = atoms(f)
+    prog = compile_formula(f)
+    names = _program_atoms(prog)
     cost = exhaustive_cost(fr, len(names))
     exhaustive = mode != "sample" and cost is not None and cost <= budget
     if mode == "exhaustive" and not exhaustive:
@@ -572,7 +577,7 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
         )
     chunks = (_valuation_chunks(fr, names) if exhaustive
               else _sample_chunks(fr, names, count, seed))
-    checked, wit = _sweep(fr, f, chunks)
+    checked, wit = _sweep(fr, f, prog, chunks)
     return ValidityResult(wit is None, exhaustive, checked, wit)
 
 

@@ -47,10 +47,12 @@ from .medvedev import (
     DEFAULT_VALUATION_BUDGET,
     RefutationWitness,
     Valuation,
+    compile_formula,
     frame,
     gens,
     generated_subframe,
     refute,
+    run_program,
     truth_set,
     upset_worlds,
     valid_on,
@@ -341,11 +343,14 @@ class TransferReport:
         return all(c.ok for c in self.cases)
 
 
-def _transfer_case(pm: PMorphism, f: Formula, ts_source: int,
-                   ts_target: int) -> TransferCase:
-    """Compare membership of ``x`` in ``ts_source`` with membership of
-    ``pm.apply(x)`` in ``ts_target``, reporting the least world where they differ."""
-    for x in frame(pm.m).worlds():
+def _transfer_case(pm: PMorphism, f: Formula, source: Valuation,
+                   target: Valuation) -> TransferCase:
+    """Compare ``x`` forcing ``f`` under ``source`` with ``pm.apply(x)``
+    forcing it under ``target``, reporting the least world where they differ."""
+    fr_m, prog = frame(pm.m), compile_formula(f)
+    ts_source = run_program(fr_m, prog, source.map)
+    ts_target = run_program(frame(pm.n), prog, target.map)
+    for x in fr_m.worlds():
         if bool(ts_source >> (x - 1) & 1) != bool(ts_target >> (pm.apply(x) - 1) & 1):
             return TransferCase(f, False, x)
     return TransferCase(f, True, None)
@@ -356,13 +361,9 @@ def check_alpha_transfer(pm: PMorphism, u: UniversalValuation,
     """The membership transfer: ``f(x)`` lands in the truth set of
     ``alpha_I`` under the universal valuation exactly when ``x`` is in its
     truth set under ``w``, for every index set ``I``."""
-    fr_m, fr_n = frame(pm.m), frame(pm.n)
-    cases = []
-    for mask in frame(u.n).worlds():
-        f = alpha_I(u.family, gens(mask))
-        cases.append(_transfer_case(pm, f, truth_set(fr_m, w, f),
-                                    truth_set(fr_n, u.valuation, f)))
-    return TransferReport(tuple(cases))
+    return TransferReport(tuple(
+        _transfer_case(pm, alpha_I(u.family, gens(mask)), w, u.valuation)
+        for mask in frame(u.n).worlds()))
 
 
 def transfer_check(pm: PMorphism, sigma: Substitution, u: UniversalValuation,
@@ -385,11 +386,10 @@ def transfer_check(pm: PMorphism, sigma: Substitution, u: UniversalValuation,
                          + [random_formula(rng, domain, depth) for _ in range(count)])
 
     fr_m, fr_n = frame(pm.m), frame(pm.n)
-    side_u = Valuation(fr_n, {p: truth_set(fr_n, u.valuation, sigma.lookup(p))
-                              for p in domain})
-    side_w = Valuation(fr_m, {p: truth_set(fr_m, w, sigma.lookup(p))
-                              for p in domain})
-    cases = [_transfer_case(pm, chi, truth_set(fr_m, side_w, chi),
-                            truth_set(fr_n, side_u, chi))
-             for chi in test_formulas]
-    return TransferReport(tuple(cases))
+    images = {p: compile_formula(sigma.lookup(p)) for p in domain}
+    side_u = Valuation(fr_n, {p: run_program(fr_n, prog, u.valuation.map)
+                              for p, prog in images.items()})
+    side_w = Valuation(fr_m, {p: run_program(fr_m, prog, w.map)
+                              for p, prog in images.items()})
+    return TransferReport(tuple(_transfer_case(pm, chi, side_w, side_u)
+                                for chi in test_formulas))

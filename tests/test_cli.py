@@ -193,6 +193,13 @@ def test_commands_on_a_wide_universal_substitution_image(tmp_path, capsys):
     assert run(capsys, "rank", "--file", str(img)) == (0, "511\n", "")
 
 
+def test_rank_on_a_deep_disjunction(tmp_path, capsys):
+    # the recursive skeleton walk raised RecursionError here (exit 3)
+    path = tmp_path / "or.txt"
+    path.write_text(" | ".join(f"~p{i}" for i in range(3000)))
+    assert run(capsys, "rank", "--file", str(path)) == (0, "3000\n", "")
+
+
 def test_subst_missing_file_exits_3(capsys):
     code, _, err = run(capsys, "subst", "p", "--n", "2",
                        "--valuation", "/nonexistent.json")

@@ -5,18 +5,36 @@ import random
 import pytest
 
 from medlog.errors import InfiniteRankError, RankOverflowError
-from medlog.formula import And, Atom, Imp, Neg, big_or, parse, render
+import itertools
+from functools import reduce
+
+from medlog.formula import (
+    BOT,
+    TOP,
+    And,
+    Atom,
+    Bot,
+    Imp,
+    Neg,
+    Or,
+    Top,
+    big_or,
+    parse,
+    render,
+)
 from medlog.kpform import (
     INFINITE_RANK,
+    RANK_CAP,
     FrameCheck,
     NegDisjunction,
     Rank,
+    _checked,
     kp_normalize,
     kp_rank,
     verify_normal_form,
 )
 from medlog.medvedev import UPSET_COUNTS
-from medlog.randgen import random_finite_rank_formula
+from medlog.randgen import random_finite_rank_formula, random_formula
 
 
 def rank_of(text):
@@ -188,3 +206,146 @@ def test_verify_exhaustive_exactly_up_to_max_exhaustive_valuations():
     assert below.frame_checks[1] == FrameCheck(2, "sample", True, 9)
     assert below.frame_checks[1].to_obj() == {"n": 2, "mode": "sample", "valid": True,
                                               "checked": 9}
+
+
+# --- the skeleton walk against the recursive passes it replaced ---------------
+
+def _ref_rank(f, cap):
+    memo = {}
+
+    def go(g):
+        if id(g) in memo:
+            return memo[id(g)]
+        match g:
+            case Neg(_) | Bot() | Top():
+                r = 1
+            case Atom(_):
+                r = None
+            case Or(a, b):
+                x, y = go(a), go(b)
+                r = None if x is None or y is None else _checked(x + y, g, cap)
+            case And(a, b):
+                x, y = go(a), go(b)
+                r = None if x is None or y is None else _checked(x * y, g, cap)
+            case Imp(a, b):
+                x, y = go(a), go(b)
+                if x is None or y is None:
+                    r = None
+                elif y == 1:
+                    r = 1
+                else:
+                    r = 1
+                    for _ in range(x):
+                        r = _checked(r * y, g, cap)
+        memo[id(g)] = r
+        return r
+
+    return Rank(go(f))
+
+
+def _ref_normalize(f, cap):
+    memo = {}
+
+    def go(g):
+        if id(g) in memo:
+            return memo[id(g)]
+        match g:
+            case Neg(a):
+                out = (a,)
+            case Bot():
+                out = (TOP,)
+            case Top():
+                out = (BOT,)
+            case Or(a, b):
+                xs, ys = go(a), go(b)
+                _checked(len(xs) + len(ys), g, cap)
+                out = xs + ys
+            case And(a, b):
+                xs, ys = go(a), go(b)
+                _checked(len(xs) * len(ys), g, cap)
+                out = tuple(Or(x, y) for x in xs for y in ys)
+            case Imp(a, b):
+                xs, ys = go(a), go(b)
+                _checked(len(ys) ** len(xs), g, cap)
+                out = tuple(
+                    big_or([And(Neg(x), ys[j]) for x, j in zip(xs, choice)])
+                    for choice in itertools.product(range(len(ys)), repeat=len(xs))
+                )
+            case _:
+                raise InfiniteRankError(f"{render(g)} has no finite rank; cannot normalize")
+        memo[id(g)] = out
+        return out
+
+    return NegDisjunction(go(f))
+
+
+def _ref_has_imp(f):
+    match f:
+        case Imp(_, _):
+            return True
+        case And(a, b) | Or(a, b):
+            return _ref_has_imp(a) or _ref_has_imp(b)
+    return False
+
+
+def _ref_has_constant(f):
+    match f:
+        case Bot() | Top():
+            return True
+        case And(a, b) | Or(a, b) | Imp(a, b):
+            return _ref_has_constant(a) or _ref_has_constant(b)
+    return False
+
+
+def _outcome(fn, f, cap):
+    """(value, None) or (None, (error type, message, id of its subformula))."""
+    try:
+        return fn(f, cap), None
+    except (InfiniteRankError, RankOverflowError) as e:
+        return None, (type(e), str(e), id(getattr(e, "subformula", None)))
+
+
+def _skeleton_corpus():
+    rng = random.Random(1963)
+    names = ["p", "q", "r", "s"]
+    corpus = []
+    for i in range(200):
+        f = random_formula(rng, names[:1 + i % 4], depth=1 + i % 5)
+        g = random_finite_rank_formula(rng, names[:1 + i % 3], max_rank=256,
+                                       skeleton_depth=1 + i % 3)
+        for h in (f, g):
+            corpus += [h, Or(h, h), parse(render(h)), And(h, parse(render(h)))]
+    return corpus
+
+
+def test_skeleton_passes_match_recursive_references():
+    reports = 0
+    for f in _skeleton_corpus():
+        for cap in (RANK_CAP, 7, 2):
+            assert _outcome(kp_rank, f, cap) == _outcome(_ref_rank, f, cap), render(f)
+            got, want = _outcome(kp_normalize, f, cap), _outcome(_ref_normalize, f, cap)
+            assert got[1] == want[1], render(f)
+            assert got[0] is None or got[0].bodies == want[0].bodies, render(f)
+        nd = _outcome(kp_normalize, f, RANK_CAP)[0]
+        if nd is not None and reports < 150:
+            report = verify_normal_form(f, nd, bound=1)
+            assert report.needs_weak_kp == _ref_has_imp(f), render(f)
+            assert report.constants_as_negations == _ref_has_constant(f), render(f)
+            reports += 1
+    assert reports == 150
+
+
+def test_rank_and_normal_form_on_deep_skeletons():
+    # the recursive passes raised RecursionError on all three
+    negs = [Neg(Atom(f"p{i}")) for i in range(3000)]
+    or_chain = big_or(negs)
+    and_chain = reduce(And, negs)  # left-nested
+    imp_chain = reduce(lambda acc, x: Imp(x, acc),  # right-nested, over 7 atoms
+                       [Neg(Atom(f"p{i % 7}")) for i in range(3000)][::-1])
+    for f, rank in ((or_chain, 3000), (and_chain, 1), (imp_chain, 1)):
+        assert kp_rank(f) == Rank(rank)
+        assert len(kp_normalize(f)) == rank
+    report = verify_normal_form(imp_chain, kp_normalize(imp_chain), bound=2)
+    assert report.ok and report.needs_weak_kp and not report.constants_as_negations
+    assert report.frame_checks == (FrameCheck(1, "exhaustive", True, 2 ** 7),
+                                   FrameCheck(2, "exhaustive", True, 5 ** 7))
