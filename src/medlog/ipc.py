@@ -14,150 +14,141 @@ rather than returning a wrong answer.
 from __future__ import annotations
 
 from .errors import LimitError, SearchBudgetError
-from .formula import (
-    BOT,
-    And,
-    Atom,
-    Bot,
-    Formula,
-    Imp,
-    Neg,
-    Or,
-    Top,
-    _dag,
-)
-from .medvedev import _program_atoms, _sweep, _valuation_chunks, compile_formula, frame
+from .formula import And, Atom, Bot, Formula, Imp, Neg, Or, Top
+from .medvedev import (_AND, _ATOM, _CONST, _IMP, _NEG, _OR, _program_atoms, _sweep,
+                       _valuation_chunks, compile_formula, frame)
 
 DEFAULT_BUDGET = 10**6
 
 MAX_CLASSICAL_ATOMS = 20
 
 
-def _desugar(f: Formula) -> Formula:
-    """Replace ~x by x -> F for the prover's internal use."""
-    nodes, kids = _dag(f)
-    out: list[Formula] = []
-    for g, k in zip(nodes, kids):
-        args = [out[i] for i in k]
-        if type(g) is Neg:
-            out.append(Imp(args[0], BOT))
+def _run(search) -> bool:
+    """Drive a generator search: each yielded sub-search runs to its result,
+    which is sent back, so the nesting lives on this list, not the Python stack."""
+    stack, value = [search], None
+    while stack:
+        try:
+            value = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
         else:
-            out.append(type(g)(*args) if k else g)
-    return out[-1]
+            stack.append(value)
+            value = None
+    return value
 
 
 class _Prover:
+    """G4ip over one table of interned ``compile_formula`` instructions: a
+    formula is an int id keyed by ``(op, a, b)``, with ``~x`` as ``x -> F``."""
+
     def __init__(self, budget: int):
         self.left = budget
         self.memo: dict[tuple, bool] = {}
+        self.node: list[tuple] = []
+        self.index: dict[tuple, int] = {}
 
-    def _tick(self):
+    def _id(self, op: int, a, b) -> int:
+        i = self.index.setdefault((op, a, b), len(self.node))
+        if i == len(self.node):
+            self.node.append((op, a, b))
+        return i
+
+    def intern(self, f: Formula) -> int:
+        ids: list[int] = []
+        for op, a, b in compile_formula(f):
+            if op == _NEG:
+                op, a, b = _IMP, ids[a], self._id(_CONST, 0, 0)
+            elif op != _ATOM and op != _CONST:
+                a, b = ids[a], ids[b]
+            ids.append(self._id(op, a, b))
+        return ids[-1]
+
+    def prove(self, pending: list[int], atoms_: frozenset[str],
+              imps: tuple[int, ...], goal: int):
+        """Decide ``pending + atoms + imps  =>  goal``; ``imps`` holds implications
+        whose antecedent is an unavailable atom or another implication."""
         self.left -= 1
         if self.left < 0:
             raise SearchBudgetError("proof search budget exhausted; answer unknown")
-
-    def prove(self, pending: list[Formula], atoms_: frozenset[str],
-              imps: tuple[Formula, ...], goal: Formula) -> bool:
-        """Decide ``pending + atoms + imps  =>  goal``.
-
-        ``atoms_`` holds atomic facts; ``imps`` holds implications whose
-        antecedent is an unavailable atom or another implication.
-        """
-        self._tick()
+        node = self.node
         pending = list(pending)
         atom_set = set(atoms_)
         imp_list = list(imps)
 
         while pending:
             f = pending.pop()
-            match f:
-                case Bot():
+            op, a, b = node[f]
+            if op == _CONST:
+                if not a:
                     return True
-                case Top():
-                    pass
-                case Atom(name):
-                    if name not in atom_set:
-                        atom_set.add(name)
-                        fired = [g for g in imp_list
-                                 if isinstance(g.lhs, Atom) and g.lhs.name == name]
-                        if fired:
-                            imp_list = [g for g in imp_list if g not in fired]
-                            pending.extend(g.rhs for g in fired)
-                case And(a, b):
-                    pending.append(a)
+            elif op == _ATOM:
+                if a not in atom_set:
+                    atom_set.add(a)
+                    fired = [g for g in imp_list if node[g][1] == f]
+                    if fired:
+                        imp_list = [g for g in imp_list if g not in fired]
+                        pending.extend(node[g][2] for g in fired)
+            elif op == _AND:
+                pending += (a, b)
+            elif op == _OR:
+                rest, kept = frozenset(atom_set), tuple(imp_list)
+                return ((yield self.prove(pending + [a], rest, kept, goal))
+                        and (yield self.prove(pending + [b], rest, kept, goal)))
+            else:
+                lop, x, y = node[a]
+                if (lop == _CONST and x) or (lop == _ATOM and x in atom_set):
                     pending.append(b)
-                case Or(a, b):
-                    rest = frozenset(atom_set)
-                    kept = tuple(imp_list)
-                    return (self.prove(pending + [a], rest, kept, goal)
-                            and self.prove(pending + [b], rest, kept, goal))
-                case Imp(a, b):
-                    match a:
-                        case Top():
-                            pending.append(b)
-                        case Bot():
-                            pass
-                        case Atom(name):
-                            if name in atom_set:
-                                pending.append(b)
-                            elif f not in imp_list:
-                                imp_list.append(f)
-                        case And(x, y):
-                            pending.append(Imp(x, Imp(y, b)))
-                        case Or(x, y):
-                            pending.append(Imp(x, b))
-                            pending.append(Imp(y, b))
-                        case Imp(_, _):
-                            if f not in imp_list:
-                                imp_list.append(f)
+                elif lop == _AND:
+                    pending.append(self._id(_IMP, x, self._id(_IMP, y, b)))
+                elif lop == _OR:
+                    pending.append(self._id(_IMP, x, b))
+                    pending.append(self._id(_IMP, y, b))
+                elif lop != _CONST and f not in imp_list:
+                    imp_list.append(f)
 
-        return self._saturated(frozenset(atom_set), tuple(imp_list), goal)
-
-    def _saturated(self, atom_set: frozenset[str], imps: tuple[Formula, ...],
-                   goal: Formula) -> bool:
-        key = (atom_set, frozenset(imps), goal)
+        key = (frozenset(atom_set), frozenset(imp_list), goal)
         hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._choices(atom_set, imps, goal)
-        self.memo[key] = result
-        return result
+        if hit is None:
+            hit = self.memo[key] = yield self._choices(key[0], tuple(imp_list), goal)
+        return hit
 
-    def _choices(self, atom_set: frozenset[str], imps: tuple[Formula, ...],
-                 goal: Formula) -> bool:
-        match goal:
-            case Top():
-                return True
-            case Atom(name) if name in atom_set:
-                return True
-            case And(a, b):
-                return (self.prove([], atom_set, imps, a)
-                        and self.prove([], atom_set, imps, b))
-            case Imp(a, b):
-                return self.prove([a], atom_set, imps, b)
+    def _choices(self, atom_set: frozenset[str], imps: tuple[int, ...], goal: int):
+        op, a, b = self.node[goal]
+        if (op == _CONST and a) or (op == _ATOM and a in atom_set):
+            return True
+        if op == _AND:
+            return ((yield self.prove([], atom_set, imps, a))
+                    and (yield self.prove([], atom_set, imps, b)))
+        if op == _IMP:
+            return (yield self.prove([a], atom_set, imps, b))
 
         # goal is now an unavailable atom, F, or a disjunction
-        if isinstance(goal, Or):
-            if self.prove([], atom_set, imps, goal.lhs):
-                return True
-            if self.prove([], atom_set, imps, goal.rhs):
-                return True
+        if op == _OR and ((yield self.prove([], atom_set, imps, a))
+                          or (yield self.prove([], atom_set, imps, b))):
+            return True
 
         # nested-implication splits come last
         for i, g in enumerate(imps):
-            if not isinstance(g.lhs, Imp):
+            _, lhs, rhs = self.node[g]
+            lop, c, d = self.node[lhs]
+            if lop != _IMP:
                 continue
-            c, d = g.lhs.lhs, g.lhs.rhs
             others = imps[:i] + imps[i + 1:]
-            if (self.prove([c, Imp(d, g.rhs)], atom_set, others, d)
-                    and self.prove([g.rhs], atom_set, others, goal)):
+            if ((yield self.prove([c, self._id(_IMP, d, rhs)], atom_set, others, d))
+                    and (yield self.prove([rhs], atom_set, others, goal))):
                 return True
         return False
 
 
 def ipc_provable(f: Formula, budget: int = DEFAULT_BUDGET) -> bool:
-    """Intuitionistic provability of ``f``; raises SearchBudgetError if unsure."""
-    return _Prover(budget).prove([], frozenset(), (), _desugar(f))
+    """Intuitionistic provability of ``f``; raises SearchBudgetError if unsure
+    and ValueError for a negative budget."""
+    if budget < 0:
+        raise ValueError(f"search budget must be non-negative, got {budget}")
+    p = _Prover(budget)
+    return _run(p.prove([], frozenset(), (), p.intern(f)))
 
 
 def _truth(f: Formula, assign: dict[str, bool]) -> bool:

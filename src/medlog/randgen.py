@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+from .errors import RankOverflowError
 from .formula import BOT, TOP, And, Atom, Formula, Imp, Neg, Or
 from .kpform import kp_rank
 
@@ -43,7 +44,10 @@ def random_finite_rank_formula(rng: random.Random, atom_names: Sequence[str],
 
     for _ in range(100):
         f = skeleton(skeleton_depth)
-        r = kp_rank(f)
+        try:
+            r = kp_rank(f)
+        except RankOverflowError:
+            continue
         if r.value is not None and r.value <= max_rank:
             return f
     return Neg(random_formula(rng, atom_names, body_depth))

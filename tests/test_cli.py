@@ -78,6 +78,19 @@ def test_prove_ipc_exit_codes(capsys):
     assert "unknown" in out
 
 
+def test_prove_ipc_negative_budget_is_a_usage_error(capsys):
+    assert run(capsys, "prove-ipc", "p -> p", "--budget", "-1") == (
+        3, "", "error: search budget must be non-negative, got -1\n")
+    assert run(capsys, "prove-ipc", "p -> p", "--budget", "0") == (
+        2, "unknown (budget exhausted)\n", "")
+
+
+def test_prove_ipc_on_a_3000_member_disjunction(tmp_path, capsys):
+    path = tmp_path / "chain.txt"
+    path.write_text("(" + " | ".join(["F"] * 2999 + ["p"]) + ") -> p\n")
+    assert run(capsys, "prove-ipc", "--file", str(path)) == (0, "provable\n", "")
+
+
 def test_prove_cl(capsys):
     assert run(capsys, "prove-cl", "p | ~p")[0] == 0
     code, out, _ = run(capsys, "prove-cl", "p -> q")

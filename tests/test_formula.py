@@ -251,7 +251,7 @@ def _ref_subformulas(f):
 
 def _ref_rebuild(f, leaf, neg):
     """Recursive memoized rebuild: ``apply_subst`` maps atoms by lookup and
-    keeps ``Neg``; ``_desugar`` keeps atoms and turns ``~x`` into ``x -> F``."""
+    keeps ``Neg``; the prover's interning keeps atoms and reads ``~x`` as ``x -> F``."""
     memo = {}
 
     def go(g):
@@ -297,7 +297,7 @@ def _dag_corpus():
 
 
 def test_structural_passes_match_recursive_references():
-    from medlog.ipc import _desugar
+    from medlog.ipc import _Prover
     from medlog.medvedev import compile_formula
 
     sigma = Substitution({"p": parse("q -> ~r"), "q": parse("p | T"), "r": parse("~~s")},
@@ -309,7 +309,9 @@ def test_structural_passes_match_recursive_references():
         image = apply_subst(sigma, f)
         assert image == _ref_rebuild(f, lambda g: sigma.lookup(g.name), Neg)
         assert compile_formula(image) == _ref_compile(image)
-        assert _desugar(f) == _ref_rebuild(f, lambda g: g, lambda b: Imp(b, BOT))
+        ref, prover = _ref_rebuild(f, lambda g: g, lambda b: Imp(b, BOT)), _Prover(0)
+        assert prover.intern(f) == prover.intern(ref)
+        assert len(prover.node) == len(list(subformulas(ref)))
 
 
 def test_structural_passes_on_deep_chains():

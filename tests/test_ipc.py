@@ -5,14 +5,34 @@ import random
 import pytest
 
 from medlog.errors import SearchBudgetError
-from medlog.formula import Neg, Substitution, apply_subst, atoms, parse, render
+from medlog.formula import (
+    BOT,
+    And,
+    Atom,
+    Bot,
+    Imp,
+    Neg,
+    Or,
+    Substitution,
+    Top,
+    _dag,
+    apply_subst,
+    atoms,
+    big_or,
+    iff,
+    parse,
+    render,
+)
 from medlog.ipc import (
+    _Prover,
+    _run,
     _truth,
     classical_countermodel,
     classically_valid,
     ipc_provable,
 )
-from medlog.randgen import random_formula
+from medlog.kpform import kp_normalize
+from medlog.randgen import random_finite_rank_formula, random_formula
 
 THEOREMS = [
     "p -> p",
@@ -152,3 +172,169 @@ def test_budget_error_on_tiny_budget():
     hard = parse("((((p1 -> p2) -> p3) -> p4) -> p5) -> p5 | (p4 -> p1)")
     with pytest.raises(SearchBudgetError):
         ipc_provable(hard, budget=3)
+
+
+# --- differential reference: the recursive prover on desugared formulas ------
+
+def _ref_desugar(f):
+    nodes, kids = _dag(f)
+    out = []
+    for g, k in zip(nodes, kids):
+        args = [out[i] for i in k]
+        if type(g) is Neg:
+            out.append(Imp(args[0], BOT))
+        else:
+            out.append(type(g)(*args) if k else g)
+    return out[-1]
+
+
+class _RefProver:
+    """G4ip on ``Formula`` trees with a hashed sequent memo, recursing on the
+    Python stack; the rule order the interned prover must keep."""
+
+    def __init__(self, budget):
+        self.left = budget
+        self.memo = {}
+
+    def _tick(self):
+        self.left -= 1
+        if self.left < 0:
+            raise SearchBudgetError("proof search budget exhausted; answer unknown")
+
+    def prove(self, pending, atoms_, imps, goal):
+        self._tick()
+        pending = list(pending)
+        atom_set = set(atoms_)
+        imp_list = list(imps)
+
+        while pending:
+            f = pending.pop()
+            match f:
+                case Bot():
+                    return True
+                case Top():
+                    pass
+                case Atom(name):
+                    if name not in atom_set:
+                        atom_set.add(name)
+                        fired = [g for g in imp_list
+                                 if isinstance(g.lhs, Atom) and g.lhs.name == name]
+                        if fired:
+                            imp_list = [g for g in imp_list if g not in fired]
+                            pending.extend(g.rhs for g in fired)
+                case And(a, b):
+                    pending.append(a)
+                    pending.append(b)
+                case Or(a, b):
+                    rest = frozenset(atom_set)
+                    kept = tuple(imp_list)
+                    return (self.prove(pending + [a], rest, kept, goal)
+                            and self.prove(pending + [b], rest, kept, goal))
+                case Imp(a, b):
+                    match a:
+                        case Top():
+                            pending.append(b)
+                        case Bot():
+                            pass
+                        case Atom(name):
+                            if name in atom_set:
+                                pending.append(b)
+                            elif f not in imp_list:
+                                imp_list.append(f)
+                        case And(x, y):
+                            pending.append(Imp(x, Imp(y, b)))
+                        case Or(x, y):
+                            pending.append(Imp(x, b))
+                            pending.append(Imp(y, b))
+                        case Imp(_, _):
+                            if f not in imp_list:
+                                imp_list.append(f)
+
+        return self._saturated(frozenset(atom_set), tuple(imp_list), goal)
+
+    def _saturated(self, atom_set, imps, goal):
+        key = (atom_set, frozenset(imps), goal)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        result = self._choices(atom_set, imps, goal)
+        self.memo[key] = result
+        return result
+
+    def _choices(self, atom_set, imps, goal):
+        match goal:
+            case Top():
+                return True
+            case Atom(name) if name in atom_set:
+                return True
+            case And(a, b):
+                return (self.prove([], atom_set, imps, a)
+                        and self.prove([], atom_set, imps, b))
+            case Imp(a, b):
+                return self.prove([a], atom_set, imps, b)
+
+        if isinstance(goal, Or):
+            if self.prove([], atom_set, imps, goal.lhs):
+                return True
+            if self.prove([], atom_set, imps, goal.rhs):
+                return True
+
+        for i, g in enumerate(imps):
+            if not isinstance(g.lhs, Imp):
+                continue
+            c, d = g.lhs.lhs, g.lhs.rhs
+            others = imps[:i] + imps[i + 1:]
+            if (self.prove([c, Imp(d, g.rhs)], atom_set, others, d)
+                    and self.prove([g.rhs], atom_set, others, goal)):
+                return True
+        return False
+
+
+def _differential_corpus():
+    rng = random.Random(1992)
+    corpus = [parse(t) for t in THEOREMS + NON_THEOREMS]
+    corpus += [Neg(Neg(random_formula(rng, ["p", "q", "r"], depth=5))) for _ in range(500)]
+    names = ["p", "q", "r", "s"]
+    corpus += [random_formula(rng, names[:1 + i % 4], depth=5) for i in range(1500)]
+    for _ in range(300):
+        f = random_finite_rank_formula(rng, ["p", "q", "r"])
+        corpus.append(iff(f, kp_normalize(f).to_formula()))
+    return corpus
+
+
+def _outcome(prover, search, budget):
+    try:
+        verdict = search()
+    except SearchBudgetError:
+        verdict = "budget"
+    return verdict, budget - prover.left, len(prover.memo)
+
+
+def test_interned_prover_matches_recursive_reference():
+    corpus = _differential_corpus()
+    assert len(corpus) == 2328
+    for budget in (10**6, 50, 7):
+        exhausted = 0
+        for f in corpus:
+            ref = _RefProver(budget)
+            want = _outcome(ref, lambda: ref.prove([], frozenset(), (), _ref_desugar(f)),
+                            budget)
+            new = _Prover(budget)
+            got = _outcome(new, lambda: _run(
+                new.prove([], frozenset(), (), new.intern(f))), budget)
+            assert got == want, (budget, render(f))
+            exhausted += want[0] == "budget"
+        assert (exhausted == 0) == (budget == 10**6), budget
+
+
+def test_deep_inputs_prove_without_recursion():
+    depth = 3000
+    p = Atom("p")
+    falsum_chain = Imp(big_or([BOT] * (depth - 1) + [p]), p)
+    names = [Atom(f"p{i}") for i in range(1, depth + 1)]
+    pick_last = Imp(names[-1], big_or(names))
+    negs = p
+    for _ in range(depth):
+        negs = Neg(negs)
+    for f in (falsum_chain, pick_last, Imp(negs, negs)):
+        assert ipc_provable(f) is True

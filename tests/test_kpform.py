@@ -137,6 +137,14 @@ def test_normalize_count_always_matches_rank():
         assert len(nd) == r.value, render(f)
 
 
+def test_finite_rank_sampler_rejects_draws_over_the_rank_cap():
+    # draws 91 and 261 build skeletons whose rank passes RANK_CAP
+    rng = random.Random(0)
+    for i in range(300):
+        f = random_finite_rank_formula(rng, ["p", "q", "r"], max_rank=64, skeleton_depth=5)
+        assert kp_rank(f).value <= 64, i
+
+
 def test_to_formula_shape():
     nd = NegDisjunction((Atom("p"), Atom("q")))
     assert render(nd.to_formula()) == "~p | ~q"
