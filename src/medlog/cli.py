@@ -13,16 +13,7 @@ import json
 import sys
 
 from .alpha import FULL_VALIDATION_N, alpha_formulas, u_valuation, universal_subst
-from .errors import (
-    InfiniteRankError,
-    LimitError,
-    MedlogError,
-    ParseError,
-    RankOverflowError,
-    SearchBudgetError,
-    SelfCheckError,
-    UnknownAtomError,
-)
+from .errors import MedlogError, ParseError, SearchBudgetError, SelfCheckError
 from .formula import Formula, apply_subst, parse, render
 from .ipc import DEFAULT_BUDGET, classical_countermodel, ipc_provable
 from .kpform import kp_normalize, kp_rank, verify_normal_form
@@ -393,13 +384,10 @@ def main(argv=None) -> int:
     except SearchBudgetError as exc:
         print(f"search budget exhausted: {exc}", file=sys.stderr)
         return 2
-    except (LimitError, RankOverflowError, InfiniteRankError, UnknownAtomError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SelfCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
-    except (MedlogError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (MedlogError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a crash must never exit 1, which means "refuted"

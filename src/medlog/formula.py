@@ -139,10 +139,14 @@ class _Parser:
         return big_and(parts)
 
     def neg(self) -> Formula:
-        if self.peek() == "~":
+        depth = 0
+        while self.peek() == "~":
             self.advance()
-            return Neg(self.neg())
-        return self.atom()
+            depth += 1
+        f = self.atom()
+        for _ in range(depth):
+            f = Neg(f)
+        return f
 
     def atom(self) -> Formula:
         tok = self.peek()
@@ -196,9 +200,17 @@ _INFIX = {And: (" & ", 3), Or: (" | ", 2), Imp: (" -> ", 1)}
 def render(f: Formula) -> str:
     """Minimal-parenthesization text form; ``parse(render(f)) == f``.
 
-    A right-nested chain of one binary connective (``big_or`` of many
-    members) is walked in a loop, so its length does not deepen recursion.
+    A chain of negations, and a right-nested chain of one binary connective
+    (``big_or`` of many members), is walked in a loop, so its length does not
+    deepen recursion.
     """
+    depth = 0
+    while type(f) is Neg:
+        f = f.body
+        depth += 1
+    if depth:
+        s = render(f)
+        return "~" * depth + (s if _prec(f) >= 4 else f"({s})")
     match f:
         case Atom(name):
             return name
@@ -206,9 +218,6 @@ def render(f: Formula) -> str:
             return "F"
         case Top():
             return "T"
-        case Neg(body):
-            s = render(body)
-            return "~" + (s if _prec(body) >= 4 else f"({s})")
         case And() | Or() | Imp():
             kind = type(f)
             sep, level = _INFIX[kind]
@@ -232,17 +241,23 @@ def _child(f: Formula, level: int, is_left: bool) -> str:
 
 # --- structure helpers -------------------------------------------------------
 
-def _dag(f: Formula) -> tuple[list[Formula], list[tuple[int, ...]]]:
-    """Structurally distinct subformulas of ``f``, children before parents and
-    left before right, with the positions of each node's children.
+# Forcing instructions: ``(op, a, b)`` with ``a``/``b`` the positions of the
+# children, ``(_ATOM, name, 0)`` for an atom and ``(_CONST, 1 or 0, 0)`` for
+# ``T`` or ``F``.
+_ATOM, _CONST, _AND, _OR, _NEG, _IMP = range(6)
+_BINARY = {And: _AND, Or: _OR, Imp: _IMP}
 
-    The walk keeps its own stack and hashes no formula: a node's key is
-    ``(type, name)`` for an atom and ``(type, child positions)`` otherwise,
-    and objects map to positions by ``id``, which is safe because ``f`` keeps
-    every node alive for the call.
+
+def _dag(f: Formula) -> tuple[list[Formula], list[tuple]]:
+    """Structurally distinct subformulas of ``f``, children before parents and
+    left before right, with the forcing instruction of each.
+
+    The walk keeps its own stack and hashes no formula: a node's instruction
+    is also its key, and objects map to positions by ``id``, which is safe
+    because ``f`` keeps every node alive for the call.
     """
     nodes: list[Formula] = []
-    kids: list[tuple[int, ...]] = []
+    prog: list[tuple] = []
     index: dict[tuple, int] = {}
     pos: dict[int, int] = {}
     stack = [f]
@@ -252,7 +267,8 @@ def _dag(f: Formula) -> tuple[list[Formula], list[tuple[int, ...]]]:
             stack.pop()
             continue
         t = type(g)
-        if t is And or t is Or or t is Imp:
+        op = _BINARY.get(t)
+        if op is not None:
             a, b = pos.get(id(g.lhs)), pos.get(id(g.rhs))
             if a is None or b is None:
                 if b is None:
@@ -260,31 +276,36 @@ def _dag(f: Formula) -> tuple[list[Formula], list[tuple[int, ...]]]:
                 if a is None:
                     stack.append(g.lhs)
                 continue
-            key = (t, a, b)
+            ins = (op, a, b)
         elif t is Neg:
             a = pos.get(id(g.body))
             if a is None:
                 stack.append(g.body)
                 continue
-            key = (t, a)
+            ins = (_NEG, a, 0)
         elif t is Atom:
-            key = (t, g.name)
+            ins = (_ATOM, g.name, 0)
         elif t is Bot or t is Top:
-            key = (t,)
+            ins = (_CONST, int(t is Top), 0)
         else:
             raise TypeError(f"not a formula: {g!r}")
         stack.pop()
-        i = index.setdefault(key, len(nodes))
+        i = index.setdefault(ins, len(nodes))
         if i == len(nodes):
             nodes.append(g)
-            kids.append(() if t is Atom else key[1:])
+            prog.append(ins)
         pos[id(g)] = i
-    return nodes, kids
+    return nodes, prog
+
+
+def _program_atoms(prog: list[tuple]) -> list[str]:
+    """Atom names of a program in first-occurrence order."""
+    return [a for op, a, _ in prog if op == _ATOM]
 
 
 def atoms(f: Formula) -> list[str]:
     """Atom identifiers in first-occurrence order."""
-    return [g.name for g in _dag(f)[0] if type(g) is Atom]
+    return _program_atoms(_dag(f)[1])
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -338,13 +359,17 @@ class Substitution:
 
 
 def apply_subst(s: Substitution, f: Formula) -> Formula:
-    nodes, kids = _dag(f)
+    nodes, prog = _dag(f)
     out: list[Formula] = []
-    for g, k in zip(nodes, kids):
-        if type(g) is Atom:
-            out.append(s.lookup(g.name))
+    for g, (op, a, b) in zip(nodes, prog):
+        if op == _ATOM:
+            out.append(s.lookup(a))
+        elif op == _CONST:
+            out.append(g)
+        elif op == _NEG:
+            out.append(Neg(out[a]))
         else:
-            out.append(type(g)(*[out[i] for i in k]) if k else g)
+            out.append(type(g)(out[a], out[b]))
     return out[-1]
 
 

@@ -14,9 +14,9 @@ rather than returning a wrong answer.
 from __future__ import annotations
 
 from .errors import LimitError, SearchBudgetError
-from .formula import And, Atom, Bot, Formula, Imp, Neg, Or, Top
-from .medvedev import (_AND, _ATOM, _CONST, _IMP, _NEG, _OR, _program_atoms, _sweep,
-                       _valuation_chunks, compile_formula, frame)
+from .formula import (_AND, _ATOM, _CONST, _IMP, _NEG, _OR, And, Atom, Bot, Formula, Imp,
+                      Neg, Or, Top, _program_atoms)
+from .medvedev import _sweep, _valuation_chunks, compile_formula, frame
 
 DEFAULT_BUDGET = 10**6
 

@@ -17,21 +17,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import LimitError, SelfCheckError, UnknownAtomError
-from .formula import (
-    And,
-    Atom,
-    Formula,
-    Imp,
-    Neg,
-    Or,
-    Top,
-    _dag,
-    parse,
-    render,
-)
+from .formula import (_AND, _ATOM, _CONST, _IMP, _NEG, _OR, Formula, Or, _dag,
+                      _program_atoms, parse, render)
 
 World = int  # non-zero generator bitmask
 UpSet = int  # bitset over worlds, bit (mask - 1)
@@ -72,7 +63,7 @@ def gens(w: World) -> tuple[int, ...]:
 class MedvedevFrame:
     """Frame tables; obtain instances through :func:`frame`."""
 
-    __slots__ = ("n", "world_count", "all_worlds", "_up", "_down", "_covers")
+    __slots__ = ("n", "world_count", "all_worlds", "_covers")
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_N:
@@ -80,8 +71,6 @@ class MedvedevFrame:
         self.n = n
         self.world_count = (1 << n) - 1
         self.all_worlds: UpSet = (1 << self.world_count) - 1
-        self._up: list[int | None] = [None] * (self.world_count + 1)
-        self._down: list[int | None] = [None] * (self.world_count + 1)
         self._covers: list[int | None] = [None] * (self.world_count + 1)
 
     def __repr__(self) -> str:
@@ -102,30 +91,24 @@ class MedvedevFrame:
 
     def up_bits(self, w: World) -> UpSet:
         """Worlds >= w: the non-empty submasks of w."""
-        cached = self._up[w]
-        if cached is None:
-            bits = 0
-            s = w
-            while s:
-                bits |= 1 << (s - 1)
-                s = (s - 1) & w
-            self._up[w] = cached = bits
-        return cached
+        bits = 0
+        s = w
+        while s:
+            bits |= 1 << (s - 1)
+            s = (s - 1) & w
+        return bits
 
     def down_bits(self, w: World) -> UpSet:
         """Worlds <= w: the supersets of w."""
-        cached = self._down[w]
-        if cached is None:
-            free = self.world_count & ~w  # world_count doubles as the full mask
-            bits = 0
-            s = free
-            while True:
-                bits |= 1 << ((w | s) - 1)
-                if s == 0:
-                    break
-                s = (s - 1) & free
-            self._down[w] = cached = bits
-        return cached
+        free = self.world_count & ~w  # world_count doubles as the full mask
+        bits = 0
+        s = free
+        while True:
+            bits |= 1 << ((w | s) - 1)
+            if s == 0:
+                break
+            s = (s - 1) & free
+        return bits
 
     def covers_bits(self, w: World) -> UpSet:
         """Worlds immediately above w: one generator removed."""
@@ -290,30 +273,10 @@ def valuation_from_obj(fr: MedvedevFrame, obj: Mapping[str, Iterable[Iterable[in
 
 # --- forcing -----------------------------------------------------------------
 
-_ATOM, _CONST, _AND, _OR, _NEG, _IMP = range(6)
-_BINARY = {And: _AND, Or: _OR, Imp: _IMP}
-
-
 def compile_formula(f: Formula) -> list[tuple]:
-    """Postorder program over structurally distinct subformulas."""
-    nodes, kids = _dag(f)
-    prog: list[tuple] = []
-    for g, k in zip(nodes, kids):
-        t = type(g)
-        if t is Atom:
-            prog.append((_ATOM, g.name, 0))
-        elif t is Neg:
-            prog.append((_NEG, k[0], 0))
-        elif k:
-            prog.append((_BINARY[t], *k))
-        else:
-            prog.append((_CONST, 1 if t is Top else 0, 0))
-    return prog
-
-
-def _program_atoms(prog: list[tuple]) -> list[str]:
-    """Atom names of a compiled formula: ``atoms(f)``, read off its program."""
-    return [a for op, a, _ in prog if op == _ATOM]
+    """Postorder program over structurally distinct subformulas: the
+    instructions of the ``_dag`` numbering."""
+    return _dag(f)[1]
 
 
 def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, UpSet],
@@ -416,20 +379,8 @@ class ValidityResult:
 
 def iter_valuations(fr: MedvedevFrame, names: list[str]) -> Iterator[Valuation]:
     """All valuations over ``names``; the last atom varies fastest."""
-    ups = _upset_list(fr.n)
-    if not names:
-        yield Valuation(fr, {})
-        return
-
-    def rec(prefix: dict[str, UpSet], i: int) -> Iterator[Valuation]:
-        if i == len(names):
-            yield Valuation(fr, dict(prefix))
-            return
-        for bits in ups:
-            prefix[names[i]] = bits
-            yield from rec(prefix, i + 1)
-
-    yield from rec({}, 0)
+    for ups in product(_upset_list(fr.n), repeat=len(names)):
+        yield Valuation(fr, dict(zip(names, ups)))
 
 
 def sample_valuation(fr: MedvedevFrame, names: list[str], rng: random.Random) -> Valuation:

@@ -140,9 +140,9 @@ class AdmissibilityWitness:
     ``valuation`` lives on the generated subframe (size ``k``) of the world
     that separated premise from conclusion; ``refutation`` pins the failure
     of the conclusion's image at that frame's bottom under the universal
-    valuation, and ``validity_evidence`` records frame checks of the
-    premise's image (its validity on every frame is guaranteed; the checks
-    cover frames up to the configured bound).
+    valuation, and ``validity_evidence`` records checks of the premise's
+    image on ``M_1..M_validity_bound`` only, each exhaustive or sampled as
+    its ``mode`` says.
     """
 
     premise: Formula

@@ -45,6 +45,7 @@ def test_rank_overflow_exits_3(capsys):
     big = " | ".join(f"~a{i}" for i in range(21))
     code, _, err = run(capsys, "rank", f"({big}) -> (~x | ~y)")
     assert code == 3
+    assert err.startswith("error: rank of")
     assert "cap" in err
 
 
@@ -89,6 +90,12 @@ def test_prove_ipc_on_a_3000_member_disjunction(tmp_path, capsys):
     path = tmp_path / "chain.txt"
     path.write_text("(" + " | ".join(["F"] * 2999 + ["p"]) + ") -> p\n")
     assert run(capsys, "prove-ipc", "--file", str(path)) == (0, "provable\n", "")
+
+
+def test_deep_negation_chains_parse_and_prove(capsys):
+    deep = "~" * 3000 + "p"
+    assert run(capsys, "parse", deep) == (0, deep + "\n", "")
+    assert run(capsys, "prove-ipc", f"{deep} -> {deep}") == (0, "provable\n", "")
 
 
 def test_prove_cl(capsys):
@@ -136,7 +143,7 @@ def test_check_negative_count_exits_3(capsys):
 def test_check_rejects_oversized_frame(capsys):
     code, _, err = run(capsys, "check", "p -> p", "--n", "9")
     assert code == 3
-    assert err
+    assert err == "error: exhaustive sweep over M_9 with 1 atoms exceeds budget\n"
 
 
 def test_refute_exit_codes(capsys):
@@ -369,7 +376,7 @@ def test_subst_malformed_valuation_exits_3(tmp_path, capsys, obj):
 
 
 def test_unexpected_exception_exits_3_not_1(capsys):
-    code, out, err = run(capsys, "parse", "~" * 3000 + "p")
+    code, out, err = run(capsys, "parse", "(" * 1000 + "p" + ")" * 1000)
     assert (code, out) == (3, "")
     assert err.startswith("internal error: RecursionError")
     assert len(err.splitlines()) == 1

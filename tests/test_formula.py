@@ -108,6 +108,19 @@ def test_render_long_chains_without_recursion():
     assert render(Or(parse(text), BOT)) == f"({text}) | F"
 
 
+def test_negation_chains_without_recursion():
+    # compared as text: ``==`` on a 3,000-deep formula recurses
+    for body in ("p", "F", "(p -> q)", "(p & ~q)"):
+        text = "~" * 3000 + body
+        f = parse(text)
+        depth = 0
+        while type(f) is Neg:
+            f, depth = f.body, depth + 1
+        assert depth == 3000 and render(f) == body.strip("()")
+        assert render(parse(text)) == text
+        assert render(parse(f"{text} -> {text} | q")) == f"{text} -> {text} | q"
+
+
 def test_parse_error_reports_offset_and_expected():
     with pytest.raises(ParseError) as exc:
         parse("p & ")

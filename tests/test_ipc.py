@@ -177,14 +177,15 @@ def test_budget_error_on_tiny_budget():
 # --- differential reference: the recursive prover on desugared formulas ------
 
 def _ref_desugar(f):
-    nodes, kids = _dag(f)
+    nodes, prog = _dag(f)
     out = []
-    for g, k in zip(nodes, kids):
-        args = [out[i] for i in k]
+    for g, (_, a, b) in zip(nodes, prog):
         if type(g) is Neg:
-            out.append(Imp(args[0], BOT))
+            out.append(Imp(out[a], BOT))
+        elif type(g) in (And, Or, Imp):
+            out.append(type(g)(out[a], out[b]))
         else:
-            out.append(type(g)(*args) if k else g)
+            out.append(g)
     return out[-1]
 
 

@@ -328,6 +328,19 @@ def test_iter_valuations_count_and_coverage():
     assert len(empty) == 1 and empty[0].map == {}
 
 
+@pytest.mark.parametrize("bound", [3, 7])
+def test_iter_valuations_matches_packed_sweep_decoding(monkeypatch, bound):
+    # bound 3 splits an atom's range on M_2 (5 up-sets), both split it on M_3 (19)
+    monkeypatch.setattr(medvedev, "_CHUNK_VALUATIONS", bound)
+    for n in (1, 2, 3):
+        fr = frame(n)
+        for names in ([], ["p"], ["p", "q"], ["p", "q", "r"]):
+            decoded = [at(offset)
+                       for _, length, _, at in medvedev._valuation_chunks(fr, names)
+                       for offset in range(length)]
+            assert list(iter_valuations(fr, names)) == decoded, (n, names)
+
+
 def test_witness_self_check_rejects_forced_world():
     fr = frame(2)
     val = valuation(fr, {"p": [world(1)]})
