@@ -40,7 +40,10 @@ def _emit_json(obj) -> None:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise MedlogError(f"JSON in {path} nests too deeply") from None
 
 
 def _is_world_list(obj) -> bool:

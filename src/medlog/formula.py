@@ -99,100 +99,64 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, int]]):
-        self.tokens = tokens
-        self.i = 0
+_BIN = {"->": (1, Imp), "|": (2, Or), "&": (3, And)}
 
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
+_AFTER_OPERAND = ("'->'", "'|'", "'&'", "end of input")
 
-    def advance(self) -> str:
-        tok = self.tokens[self.i][0]
-        self.i += 1
-        return tok
 
-    def fail(self, expected: tuple[str, ...]):
-        tok, off = self.tokens[self.i]
-        shown = repr(tok) if tok else "end of input"
-        raise ParseError(f"unexpected {shown}", offset=off, expected=expected)
-
-    def imp(self) -> Formula:
-        lhs = self.disj()
-        if self.peek() == "->":
-            self.advance()
-            return Imp(lhs, self.imp())
-        return lhs
-
-    def disj(self) -> Formula:
-        parts = [self.conj()]
-        while self.peek() == "|":
-            self.advance()
-            parts.append(self.conj())
-        return big_or(parts)
-
-    def conj(self) -> Formula:
-        parts = [self.neg()]
-        while self.peek() == "&":
-            self.advance()
-            parts.append(self.neg())
-        return big_and(parts)
-
-    def neg(self) -> Formula:
-        depth = 0
-        while self.peek() == "~":
-            self.advance()
-            depth += 1
-        f = self.atom()
-        for _ in range(depth):
-            f = Neg(f)
-        return f
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok == "F":
-            self.advance()
-            return BOT
-        if tok == "T":
-            self.advance()
-            return TOP
-        if tok == "(":
-            self.advance()
-            inner = self.imp()
-            if self.peek() != ")":
-                self.fail(("')'",))
-            self.advance()
-            return inner
-        if tok and tok[0].islower():
-            self.advance()
-            return Atom(tok)
-        self.fail(_ATOM_START)
+def _unexpected(tok: str, off: int, expected: tuple[str, ...]) -> ParseError:
+    shown = repr(tok) if tok else "end of input"
+    return ParseError(f"unexpected {shown}", offset=off, expected=expected)
 
 
 def parse(text: str) -> Formula:
-    """Parse surface syntax; raises ParseError with offset and expected tokens."""
-    p = _Parser(_tokenize(text))
-    f = p.imp()
-    if p.peek() != "":
-        p.fail(("'->'", "'|'", "'&'", "end of input"))
-    return f
+    """Parse surface syntax; raises ParseError with offset and expected tokens.
+
+    Operator precedence over explicit stacks: ``args`` holds finished
+    operands and ``ops`` the pending ``~``, ``(`` and binary operators.  The
+    binary operators associate to the right, so an incoming one reduces only
+    the operators that bind strictly tighter.
+    """
+    args: list[Formula] = []
+    ops: list[str] = []
+    opened = 0  # '(' on ops, counted so that no check scans the stack
+    operand = True  # an operand is due next
+    for tok, off in _tokenize(text):
+        if operand:
+            if tok == "~" or tok == "(":
+                ops.append(tok)
+                opened += tok == "("
+                continue
+            if tok == "F":
+                args.append(BOT)
+            elif tok == "T":
+                args.append(TOP)
+            elif tok[:1].islower():
+                args.append(Atom(tok))
+            else:
+                raise _unexpected(tok, off, _ATOM_START)
+            operand = False
+        else:
+            bind = _BIN[tok][0] if tok in _BIN else 0
+            if not bind and not (tok == ")" and opened or tok == "" and not opened):
+                raise _unexpected(tok, off, ("')'",) if opened else _AFTER_OPERAND)
+            while ops and ops[-1] in _BIN and _BIN[ops[-1]][0] > bind:
+                rhs = args.pop()
+                args[-1] = _BIN[ops.pop()][1](args[-1], rhs)
+            if bind:
+                ops.append(tok)
+                operand = True
+                continue
+            if not tok:
+                return args[0]
+            ops.pop()  # the matching '('
+            opened -= 1
+        while ops and ops[-1] == "~":
+            ops.pop()
+            args[-1] = Neg(args[-1])
 
 
 # --- rendering -------------------------------------------------------------
-
-def _prec(f: Formula) -> int:
-    match f:
-        case Imp():
-            return 1
-        case Or():
-            return 2
-        case And():
-            return 3
-        case Neg():
-            return 4
-        case _:
-            return 5
-
 
 _INFIX = {And: (" & ", 3), Or: (" | ", 2), Imp: (" -> ", 1)}
 
@@ -200,43 +164,36 @@ _INFIX = {And: (" & ", 3), Or: (" | ", 2), Imp: (" -> ", 1)}
 def render(f: Formula) -> str:
     """Minimal-parenthesization text form; ``parse(render(f)) == f``.
 
-    A chain of negations, and a right-nested chain of one binary connective
-    (``big_or`` of many members), is walked in a loop, so its length does not
-    deepen recursion.
+    One explicit stack holds literal text and ``(formula, need)`` pairs,
+    where ``need`` is the least precedence printed without brackets: a left
+    child needs one more than its connective, a right child the same, and
+    a ``~`` body 4, so only binary nodes are ever bracketed.
     """
-    depth = 0
-    while type(f) is Neg:
-        f = f.body
-        depth += 1
-    if depth:
-        s = render(f)
-        return "~" * depth + (s if _prec(f) >= 4 else f"({s})")
-    match f:
-        case Atom(name):
-            return name
-        case Bot():
-            return "F"
-        case Top():
-            return "T"
-        case And() | Or() | Imp():
-            kind = type(f)
-            sep, level = _INFIX[kind]
-            parts = []
-            while type(f) is kind:
-                parts.append(_child(f.lhs, level, True))
-                f = f.rhs
-            parts.append(_child(f, level, False))
-            return sep.join(parts)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _child(f: Formula, level: int, is_left: bool) -> str:
-    s = render(f)
-    p = _prec(f)
-    # right-associative rendering: an equal-precedence left child needs parens
-    if p < level or (is_left and p == level):
-        return f"({s})"
-    return s
+    out: list[str] = []
+    stack: list = [(f, 0)]
+    while stack:
+        top = stack.pop()
+        if type(top) is str:
+            out.append(top)
+            continue
+        g, need = top
+        t = type(g)
+        if t is Atom:
+            out.append(g.name)
+        elif t is Bot or t is Top:
+            out.append("F" if t is Bot else "T")
+        elif t is Neg:
+            out.append("~")
+            stack.append((g.body, 4))
+        elif t in _INFIX:
+            sep, level = _INFIX[t]
+            if level < need:
+                out.append("(")
+                stack.append(")")
+            stack += ((g.rhs, level), sep, (g.lhs, level + 1))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)
 
 
 # --- structure helpers -------------------------------------------------------

@@ -63,7 +63,7 @@ def gens(w: World) -> tuple[int, ...]:
 class MedvedevFrame:
     """Frame tables; obtain instances through :func:`frame`."""
 
-    __slots__ = ("n", "world_count", "all_worlds", "_covers")
+    __slots__ = ("n", "world_count", "all_worlds")
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_N:
@@ -71,7 +71,6 @@ class MedvedevFrame:
         self.n = n
         self.world_count = (1 << n) - 1
         self.all_worlds: UpSet = (1 << self.world_count) - 1
-        self._covers: list[int | None] = [None] * (self.world_count + 1)
 
     def __repr__(self) -> str:
         return f"M_{self.n}"
@@ -112,17 +111,14 @@ class MedvedevFrame:
 
     def covers_bits(self, w: World) -> UpSet:
         """Worlds immediately above w: one generator removed."""
-        cached = self._covers[w]
-        if cached is None:
-            bits = 0
-            s = w
-            while s:
-                lsb = s & -s
-                if w != lsb:
-                    bits |= 1 << ((w ^ lsb) - 1)
-                s ^= lsb
-            self._covers[w] = cached = bits
-        return cached
+        bits = 0
+        s = w
+        while s:
+            lsb = s & -s
+            if w != lsb:
+                bits |= 1 << ((w ^ lsb) - 1)
+            s ^= lsb
+        return bits
 
 
 @lru_cache(maxsize=None)
@@ -216,6 +212,7 @@ def enumerate_upsets(fr: MedvedevFrame) -> Iterator[UpSet]:
     """
     if fr.n > MAX_EXHAUSTIVE_N:
         raise LimitError(f"up-set enumeration supports n <= {MAX_EXHAUSTIVE_N}")
+    covers = [0] + [fr.covers_bits(w) for w in fr.worlds()]
 
     def rec(mask: int, bits: int, needed: int) -> Iterator[UpSet]:
         if mask == 0:
@@ -224,7 +221,7 @@ def enumerate_upsets(fr: MedvedevFrame) -> Iterator[UpSet]:
         bit = 1 << (mask - 1)
         if not needed & bit:
             yield from rec(mask - 1, bits, needed)
-        yield from rec(mask - 1, bits | bit, needed | fr.covers_bits(mask))
+        yield from rec(mask - 1, bits | bit, needed | covers[mask])
 
     yield from rec(fr.world_count, 0, 0)
 

@@ -1,6 +1,7 @@
 """End-to-end command behaviour: exit codes, goldens, and determinism."""
 
 import json
+import random
 
 import pytest
 
@@ -96,6 +97,14 @@ def test_deep_negation_chains_parse_and_prove(capsys):
     deep = "~" * 3000 + "p"
     assert run(capsys, "parse", deep) == (0, deep + "\n", "")
     assert run(capsys, "prove-ipc", f"{deep} -> {deep}") == (0, "provable\n", "")
+
+
+def test_deep_left_implications_parse_from_file(tmp_path, capsys):
+    # the recursive-descent parser raised RecursionError here (exit 3)
+    text = "(" * 199 + "p -> q" + ") -> q" * 199
+    path = tmp_path / "left.txt"
+    path.write_text(text + "\n")
+    assert run(capsys, "parse", "--file", str(path)) == (0, text + "\n", "")
 
 
 def test_prove_cl(capsys):
@@ -375,8 +384,84 @@ def test_subst_malformed_valuation_exits_3(tmp_path, capsys, obj):
     assert "lists of generator lists" in err
 
 
-def test_unexpected_exception_exits_3_not_1(capsys):
-    code, out, err = run(capsys, "parse", "(" * 1000 + "p" + ")" * 1000)
+def test_unexpected_exception_exits_3_not_1(capsys, monkeypatch):
+    def crash(text):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("medlog.cli.parse", crash)
+    code, out, err = run(capsys, "parse", "p")
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: RecursionError")
+    assert err.startswith("internal error: RuntimeError")
     assert len(err.splitlines()) == 1
+
+
+_FUZZ_COMMANDS = [
+    ["parse"],
+    ["rank"],
+    ["prove-cl"],
+    ["prove-ipc", "--budget", "200"],
+    ["check", "--n", "2"],
+    ["normalize", "--verify-bound", "1"],
+    ["refute", "--max-n", "2"],
+    ["levin", "--max-n", "2"],
+]
+
+_FUZZ_TOKENS = ["p", "q", "r", "F", "T", "~", "(", ")", "&", "|", "->", " ", "-", "P", "$"]
+
+
+def _fuzz_texts(rng):
+    from medlog.randgen import random_formula
+
+    texts = [render(random_formula(rng, ["p", "q", "r"], rng.randrange(5)))
+             for _ in range(400)]
+    for _ in range(400):
+        body = "".join(rng.choice(_FUZZ_TOKENS) for _ in range(rng.randrange(16)))
+        texts.append("(" * rng.choice([0, 1, 3, 300]) + body
+                     + ")" * rng.choice([0, 1, 3, 300]))
+    return texts
+
+
+def _fuzz_json(rng, depth=0):
+    roll = rng.randrange(8 if depth < 4 else 4)
+    if roll < 4:
+        return rng.choice([0, 1, 2, 3, 9, -1, "1", "p", None, True, 1.5])
+    if roll < 6:
+        return [_fuzz_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    keys = ["m", "n", "map", "point_map", "p", "q", "1", "2"]
+    return {rng.choice(keys): _fuzz_json(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def _fuzz_files(rng):
+    deep = "[" * 100000 + "]" * 100000  # past the decoder's nesting limit
+    files = ["", "{", "[[1]", "nul", deep, '{"p": ' + deep + "}",
+             json.dumps({"p": [[1]]})[:-1], json.dumps({"m": 2, "n": 1, "map": [[[1]]]})]
+    files += [json.dumps(_fuzz_json(rng)) for _ in range(30)]
+
+    def worlds():  # near-valid lists of generator lists
+        return [[rng.randrange(-1, 4) for _ in range(rng.randrange(3))]
+                for _ in range(rng.randrange(4))]
+
+    for _ in range(35):
+        m, n = rng.randrange(-1, 4), rng.randrange(-1, 4)
+        files.append(json.dumps({"m": m, "n": n, "map": [[w, w] for w in worlds()]}))
+        files.append(json.dumps({"m": m, "n": n, "point_map": {
+            str(rng.randrange(4)): rng.choice([rng.randrange(-1, 4), _fuzz_json(rng)])
+            for _ in range(rng.randrange(4))}}))
+        files.append(json.dumps({rng.choice("pqr"): worlds() for _ in range(2)}))
+    return files
+
+
+def test_cli_fuzz_exits_cleanly(tmp_path, capsys):
+    # every input ends with an exit code of the contract and no crash report
+    rng = random.Random(1961)
+    runs = [_FUZZ_COMMANDS[i % len(_FUZZ_COMMANDS)] + ["--", text]
+            for i, text in enumerate(_fuzz_texts(rng))]
+    for i, content in enumerate(_fuzz_files(rng)):
+        path = tmp_path / f"{i}.json"
+        path.write_text(content)
+        runs.append(["subst", "p", "--n", "2", "--valuation", str(path)])
+        runs.append(["pmorphism", "--check", str(path)])
+    for argv in runs:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "internal error" not in err and "Traceback" not in err, argv

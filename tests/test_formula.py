@@ -1,6 +1,7 @@
 """Parser, renderer, and substitution tests."""
 
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,8 @@ from medlog.formula import (
     Substitution,
     TOP,
     Top,
+    _ATOM_START,
+    _tokenize,
     apply_subst,
     atoms,
     big_and,
@@ -349,3 +352,194 @@ def test_structural_passes_on_deep_chains():
         swapped = compile_formula(apply_subst(sigma, f))
         assert swapped == [(op, {"p": "q", "q": "p"}.get(a, a), b) for op, a, b in prog]
         assert truth_set(fr, val, f) == truth_set(fr, val, short)
+
+
+# --- the recursive text layer, kept as the reference for parse and render -----
+
+class _RefParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i][0]
+
+    def advance(self):
+        tok = self.tokens[self.i][0]
+        self.i += 1
+        return tok
+
+    def fail(self, expected):
+        tok, off = self.tokens[self.i]
+        shown = repr(tok) if tok else "end of input"
+        raise ParseError(f"unexpected {shown}", offset=off, expected=expected)
+
+    def imp(self):
+        lhs = self.disj()
+        if self.peek() == "->":
+            self.advance()
+            return Imp(lhs, self.imp())
+        return lhs
+
+    def disj(self):
+        parts = [self.conj()]
+        while self.peek() == "|":
+            self.advance()
+            parts.append(self.conj())
+        return big_or(parts)
+
+    def conj(self):
+        parts = [self.neg()]
+        while self.peek() == "&":
+            self.advance()
+            parts.append(self.neg())
+        return big_and(parts)
+
+    def neg(self):
+        depth = 0
+        while self.peek() == "~":
+            self.advance()
+            depth += 1
+        f = self.atom()
+        for _ in range(depth):
+            f = Neg(f)
+        return f
+
+    def atom(self):
+        tok = self.peek()
+        if tok == "F":
+            self.advance()
+            return BOT
+        if tok == "T":
+            self.advance()
+            return TOP
+        if tok == "(":
+            self.advance()
+            inner = self.imp()
+            if self.peek() != ")":
+                self.fail(("')'",))
+            self.advance()
+            return inner
+        if tok and tok[0].islower():
+            self.advance()
+            return Atom(tok)
+        self.fail(_ATOM_START)
+
+
+def _ref_parse(text):
+    p = _RefParser(_tokenize(text))
+    f = p.imp()
+    if p.peek() != "":
+        p.fail(("'->'", "'|'", "'&'", "end of input"))
+    return f
+
+
+def _ref_prec(f):
+    match f:
+        case Imp():
+            return 1
+        case Or():
+            return 2
+        case And():
+            return 3
+        case Neg():
+            return 4
+        case _:
+            return 5
+
+
+_REF_INFIX = {And: (" & ", 3), Or: (" | ", 2), Imp: (" -> ", 1)}
+
+
+def _ref_render(f):
+    depth = 0
+    while type(f) is Neg:
+        f = f.body
+        depth += 1
+    if depth:
+        s = _ref_render(f)
+        return "~" * depth + (s if _ref_prec(f) >= 4 else f"({s})")
+    match f:
+        case Atom(name):
+            return name
+        case Bot():
+            return "F"
+        case Top():
+            return "T"
+        case And() | Or() | Imp():
+            kind = type(f)
+            sep, level = _REF_INFIX[kind]
+            parts = []
+            while type(f) is kind:
+                parts.append(_ref_child(f.lhs, level, True))
+                f = f.rhs
+            parts.append(_ref_child(f, level, False))
+            return sep.join(parts)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _ref_child(f, level, is_left):
+    s = _ref_render(f)
+    p = _ref_prec(f)
+    if p < level or (is_left and p == level):
+        return f"({s})"
+    return s
+
+
+def _parse_outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return (str(exc), exc.offset, exc.expected)
+
+
+def test_text_layer_matches_recursive_reference():
+    from medlog.randgen import random_formula
+
+    rng = random.Random(1961)
+    names = ["p", "q", "r", "s"]
+    texts = []
+    for i in range(20000):
+        f = random_formula(rng, names, depth=1 + i % 6)
+        text = render(f)
+        assert text == _ref_render(f)
+        texts.append(text)
+    # mutated and truncated renders, and random token strings
+    alphabet = ["p", "q", "F", "T", "~", "(", ")", "&", "|", "->", "P", "-"]
+    for text in list(texts):
+        toks = [tok for tok, _ in _tokenize(text)[:-1]]
+        i = rng.randrange(len(toks))
+        edit = rng.randrange(4)
+        if edit == 0:
+            del toks[i]
+        elif edit == 1:
+            toks.insert(i, rng.choice(alphabet))
+        elif edit == 2:
+            toks = toks[:i]
+        else:
+            toks[i] = rng.choice(alphabet)
+        texts.append(" ".join(toks))
+    for _ in range(12000):
+        texts.append(" ".join(rng.choice(alphabet) for _ in range(rng.randrange(12))))
+    errors = 0
+    for text in texts:
+        got = _parse_outcome(parse, text)
+        assert got == _parse_outcome(_ref_parse, text), text
+        errors += type(got) is tuple
+    assert len(texts) >= 50000 and errors >= 20000
+
+
+def test_deep_nesting_without_recursion():
+    # compared as text: ``==`` on a deep formula recurses
+    assert render(parse("(" * 100000 + "p" + ")" * 100000)) == "p"
+    f = Atom("p")
+    for _ in range(5000):
+        f = Imp(f, Atom("q"))
+    text = render(f)
+    assert text == "(" * 4999 + "p -> q" + ") -> q" * 4999
+    assert render(parse(text)) == text
+    # open brackets are counted, not searched for on the operator stack
+    start = time.perf_counter()
+    f = parse("p -> " * 20000 + "(" * 20000 + "q" + ")" * 20000)
+    assert time.perf_counter() - start < 2
+    assert render(f) == "p -> " * 20000 + "q"

@@ -6,6 +6,7 @@ reference implementations that quantify over whole powersets.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -126,6 +127,18 @@ def test_up_down_covers_bits():
     bot = fr.bottom()
     assert sorted(upset_worlds(fr.covers_bits(bot))) == [
         world(1, 2), world(1, 3), world(2, 3)]
+
+
+def test_frames_hold_no_per_world_table():
+    # M_20 has about a million worlds; only up-set enumeration needs covers
+    tracemalloc.start()
+    try:
+        fr = MedvedevFrame(20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fr.world_count == (1 << 20) - 1
+    assert peak < 1 << 20
 
 
 def test_close_up_down_closure_roundtrip():
