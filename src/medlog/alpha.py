@@ -31,7 +31,6 @@ from .formula import (
     apply_subst,
     big_and,
     big_or,
-    render,
 )
 from .medvedev import (
     Valuation,
@@ -168,27 +167,22 @@ def universal_subst(n: int, v: Valuation) -> Substitution:
 
 
 @dataclass(frozen=True)
-class LemmaCase:
+class TransferCase:
     formula: Formula
     ok: bool
-    world: int | None  # smallest disagreeing world mask
-
-    def __repr__(self) -> str:
-        state = "ok" if self.ok else f"mismatch at {gens(self.world)}"
-        return f"<{render(self.formula)}: {state}>"
+    world: int | None  # least world mask where the two sides disagree
 
 
 @dataclass(frozen=True)
-class LemmaReport:
-    n: int
-    cases: tuple[LemmaCase, ...]
+class TransferReport:
+    cases: tuple[TransferCase, ...]
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.cases)
 
 
-def verify_lemma(n: int, v: Valuation, test_formulas: Sequence[Formula]) -> LemmaReport:
+def verify_lemma(n: int, v: Valuation, test_formulas: Sequence[Formula]) -> TransferReport:
     """Compare each formula's truth set under ``v`` with its substitution
     image's truth set under the universal valuation, world by world."""
     fr = frame(n)
@@ -199,8 +193,8 @@ def verify_lemma(n: int, v: Valuation, test_formulas: Sequence[Formula]) -> Lemm
         left = truth_set(fr, v, f)
         right = truth_set(fr, u.valuation, apply_subst(sigma, f))
         if left == right:
-            cases.append(LemmaCase(f, True, None))
+            cases.append(TransferCase(f, True, None))
         else:
             diff = left ^ right
-            cases.append(LemmaCase(f, False, (diff & -diff).bit_length()))
-    return LemmaReport(n, tuple(cases))
+            cases.append(TransferCase(f, False, (diff & -diff).bit_length()))
+    return TransferReport(tuple(cases))

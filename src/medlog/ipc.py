@@ -14,8 +14,7 @@ rather than returning a wrong answer.
 from __future__ import annotations
 
 from .errors import LimitError, SearchBudgetError
-from .formula import (_AND, _ATOM, _CONST, _IMP, _NEG, _OR, And, Atom, Bot, Formula, Imp,
-                      Neg, Or, Top, _program_atoms)
+from .formula import _AND, _ATOM, _CONST, _IMP, _NEG, _OR, Formula, _program_atoms
 from .medvedev import _sweep, _valuation_chunks, compile_formula, frame
 
 DEFAULT_BUDGET = 10**6
@@ -149,25 +148,6 @@ def ipc_provable(f: Formula, budget: int = DEFAULT_BUDGET) -> bool:
         raise ValueError(f"search budget must be non-negative, got {budget}")
     p = _Prover(budget)
     return _run(p.prove([], frozenset(), (), p.intern(f)))
-
-
-def _truth(f: Formula, assign: dict[str, bool]) -> bool:
-    match f:
-        case Atom(name):
-            return assign[name]
-        case Bot():
-            return False
-        case Top():
-            return True
-        case Neg(body):
-            return not _truth(body, assign)
-        case And(a, b):
-            return _truth(a, assign) and _truth(b, assign)
-        case Or(a, b):
-            return _truth(a, assign) or _truth(b, assign)
-        case Imp(a, b):
-            return (not _truth(a, assign)) or _truth(b, assign)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def classical_countermodel(f: Formula,

@@ -109,17 +109,6 @@ class MedvedevFrame:
             s = (s - 1) & free
         return bits
 
-    def covers_bits(self, w: World) -> UpSet:
-        """Worlds immediately above w: one generator removed."""
-        bits = 0
-        s = w
-        while s:
-            lsb = s & -s
-            if w != lsb:
-                bits |= 1 << ((w ^ lsb) - 1)
-            s ^= lsb
-        return bits
-
 
 @lru_cache(maxsize=None)
 def frame(n: int) -> MedvedevFrame:
@@ -206,24 +195,23 @@ def upset_worlds(bits: UpSet) -> Iterator[World]:
 def enumerate_upsets(fr: MedvedevFrame) -> Iterator[UpSet]:
     """Every upward-closed world set exactly once, ascending as bitset integers.
 
-    Worlds are decided bottom-up; a world already required as the cover of an
-    included world cannot be excluded, which prunes non-closed sets without
-    filtering.
+    Split on generator ``n``: with ``h = 2**(n-1)``, a world set of ``M_n`` is
+    ``lo | c << (h - 1) | hi << h``, where ``lo`` holds the worlds without
+    ``n``, ``c`` the world ``{n}``, and ``hi`` the worlds ``S + {n}`` by their
+    non-empty part ``S``.  The set is upward closed exactly when ``lo`` and
+    ``hi`` are up-sets of ``M_{n-1}``, ``hi`` is a subset of ``lo``, and ``c``
+    is set whenever ``hi`` is non-empty.  Looping ``hi``, then ``c``, then
+    ``lo`` ascending, each over lower bits than the one before, yields the
+    sets in ascending order.
     """
     if fr.n > MAX_EXHAUSTIVE_N:
         raise LimitError(f"up-set enumeration supports n <= {MAX_EXHAUSTIVE_N}")
-    covers = [0] + [fr.covers_bits(w) for w in fr.worlds()]
-
-    def rec(mask: int, bits: int, needed: int) -> Iterator[UpSet]:
-        if mask == 0:
-            yield bits
-            return
-        bit = 1 << (mask - 1)
-        if not needed & bit:
-            yield from rec(mask - 1, bits, needed)
-        yield from rec(mask - 1, bits | bit, needed | covers[mask])
-
-    yield from rec(fr.world_count, 0, 0)
+    h = 1 << (fr.n - 1)
+    prev = _upset_list(fr.n - 1) if fr.n > 1 else (0,)  # no worlds: only the empty set
+    for hi in prev:
+        for c in range(bool(hi), 2):
+            base = c << (h - 1) | hi << h
+            yield from (lo | base for lo in prev if lo & hi == hi)
 
 
 @lru_cache(maxsize=8)

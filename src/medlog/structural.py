@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .alpha import (
+    TransferCase,
+    TransferReport,
     UniversalValuation,
     alpha_I,
     alpha_formulas,
@@ -41,7 +43,7 @@ from .formula import (
     apply_subst,
     render,
 )
-from .ipc import classical_countermodel, _truth
+from .ipc import classical_countermodel
 from .kpform import RANK_CAP, FrameCheck, kp_normalize
 from .medvedev import (
     DEFAULT_VALUATION_BUDGET,
@@ -78,7 +80,8 @@ class LevinDecomposition:
         if len(self.countermodels) != len(self.bodies):
             raise SelfCheckError("one countermodel per body required")
         for body, cm in zip(self.bodies, self.countermodels):
-            if not _truth(body, dict(cm)):
+            if not run_program(frame(1), compile_formula(body),
+                               {a: int(v) for a, v in cm.items()}):
                 raise SelfCheckError(
                     f"assignment {cm} does not satisfy body {render(body)}"
                 )
@@ -325,22 +328,6 @@ def alpha_pmorphism(m: int, n: int, w: Valuation) -> PMorphism:
     if not report.ok:
         raise SelfCheckError(f"constructed map fails: {report.violations[0]}")
     return pm
-
-
-@dataclass(frozen=True)
-class TransferCase:
-    formula: Formula
-    ok: bool
-    world: int | None  # source-frame world where the two sides disagree
-
-
-@dataclass(frozen=True)
-class TransferReport:
-    cases: tuple[TransferCase, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.cases)
 
 
 def _transfer_case(pm: PMorphism, f: Formula, source: Valuation,

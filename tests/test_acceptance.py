@@ -13,7 +13,7 @@ import time
 
 from medlog.alpha import alpha_formulas, u_valuation, universal_subst, verify_lemma
 from medlog.formula import Neg, big_and, big_or, iff, parse, render
-from medlog.ipc import _truth, classically_valid, ipc_provable
+from medlog.ipc import classically_valid, ipc_provable
 from medlog.kpform import kp_normalize, kp_rank, verify_normal_form
 from medlog.medvedev import (
     UPSET_COUNTS,
@@ -39,7 +39,7 @@ from medlog.structural import (
 )
 
 import conftest
-from test_ipc import THEOREMS
+from test_ipc import THEOREMS, _truth
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

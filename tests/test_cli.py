@@ -293,6 +293,15 @@ def test_levin_command(capsys):
     assert run(capsys, "levin", "p -> p", "--max-n", "2")[0] == 2
 
 
+def test_levin_checks_countermodels_of_deep_bodies(capsys):
+    # the countermodel self-check recursed once per level (RecursionError, exit 3)
+    code, out, err = run(capsys, "levin", "T & " * 1200 + "(p | ~p)", "--max-n", "2")
+    assert (code, err) == (1, "")
+    obj = json.loads(out)
+    assert [b.rsplit(" | ", 1)[1] for b in obj["bodies"]] == ["~p1", "~~p1"]
+    assert obj["countermodels"] == [{"p1": False}, {"p1": True}]
+
+
 def test_dp_command(capsys):
     code, out, _ = run(capsys, "dp", "--left", "~p", "--right", "~~p",
                        "--max-n", "1")

@@ -26,13 +26,33 @@ from medlog.formula import (
 from medlog.ipc import (
     _Prover,
     _run,
-    _truth,
     classical_countermodel,
     classically_valid,
     ipc_provable,
 )
 from medlog.kpform import kp_normalize
 from medlog.randgen import random_finite_rank_formula, random_formula
+
+
+def _truth(f, assign):
+    """Classical truth of ``f`` under ``assign``, by recursion on the tree."""
+    match f:
+        case Atom(name):
+            return assign[name]
+        case Bot():
+            return False
+        case Top():
+            return True
+        case Neg(body):
+            return not _truth(body, assign)
+        case And(a, b):
+            return _truth(a, assign) and _truth(b, assign)
+        case Or(a, b):
+            return _truth(a, assign) or _truth(b, assign)
+        case Imp(a, b):
+            return (not _truth(a, assign)) or _truth(b, assign)
+    raise TypeError(f"not a formula: {f!r}")
+
 
 THEOREMS = [
     "p -> p",
@@ -157,8 +177,6 @@ def test_classical_countermodel_matches_assignment_loop():
 def test_countermodel_falsifies():
     rng = random.Random(13)
     names = ["p", "q", "r"]
-    from medlog.ipc import _truth
-
     for _ in range(200):
         f = random_formula(rng, names, depth=5)
         cm = classical_countermodel(f)
