@@ -20,7 +20,8 @@ class ParseError(MedlogError):
 
 
 class LimitError(MedlogError):
-    """A configured resource limit would be exceeded (atom count, valuation budget)."""
+    """A configured resource limit would be exceeded: an atom count, or a sweep
+    budget counted in valuations x worlds."""
 
 
 class SearchBudgetError(MedlogError):

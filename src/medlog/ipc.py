@@ -71,6 +71,8 @@ class _Prover:
         self.left -= 1
         if self.left < 0:
             raise SearchBudgetError("proof search budget exhausted; answer unknown")
+        if goal in pending or goal in imps:  # identity: G, A => A
+            return True
         node = self.node
         pending = list(pending)
         atom_set = set(atoms_)
@@ -150,8 +152,7 @@ def ipc_provable(f: Formula, budget: int = DEFAULT_BUDGET) -> bool:
     return _run(p.prove([], frozenset(), (), p.intern(f)))
 
 
-def classical_countermodel(f: Formula,
-                           max_atoms: int = MAX_CLASSICAL_ATOMS) -> dict[str, bool] | None:
+def classical_countermodel(f: Formula) -> dict[str, bool] | None:
     """First falsifying assignment in binary counting order, or None.
 
     ``M_1`` is classical logic (one world; up-sets empty and full), and its
@@ -159,8 +160,9 @@ def classical_countermodel(f: Formula,
     """
     prog = compile_formula(f)
     names = _program_atoms(prog)
-    if len(names) > max_atoms:
-        raise LimitError(f"{len(names)} atoms exceeds the classical limit {max_atoms}")
+    if len(names) > MAX_CLASSICAL_ATOMS:
+        raise LimitError(f"{len(names)} atoms exceeds the classical limit "
+                         f"{MAX_CLASSICAL_ATOMS}")
     fr = frame(1)
     _, wit = _sweep(fr, f, prog, _valuation_chunks(fr, names[::-1]))
     if wit is None:
@@ -168,5 +170,5 @@ def classical_countermodel(f: Formula,
     return {nm: bool(wit.valuation.map[nm]) for nm in names}
 
 
-def classically_valid(f: Formula, max_atoms: int = MAX_CLASSICAL_ATOMS) -> bool:
-    return classical_countermodel(f, max_atoms) is None
+def classically_valid(f: Formula) -> bool:
+    return classical_countermodel(f) is None

@@ -214,8 +214,10 @@ def verify_normal_form(f: Formula, nd: NegDisjunction, bound: int = 3, *,
     ``max_exhaustive``) are checked exhaustively, the rest with
     ``sample_count`` seeded samples.  When the skeleton of ``f`` is free of
     ``->`` the equivalence is already intuitionistic and is additionally
-    fed to the prover in both directions.
+    fed to the prover in both directions.  A ``bound`` outside the frame
+    range is a ``ValueError`` before any check runs.
     """
+    frame(bound)
     both = iff(f, nd.to_formula())
     checks = []
     for n in range(1, bound + 1):

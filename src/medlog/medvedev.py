@@ -29,6 +29,7 @@ UpSet = int  # bitset over worlds, bit (mask - 1)
 
 MAX_N = 20
 MAX_EXHAUSTIVE_N = 6
+# in valuations x worlds, the unit of ``exhaustive_cost``
 DEFAULT_VALUATION_BUDGET = 10**9
 
 # number of up-sets of the frame, for budget arithmetic (one less than the
@@ -265,7 +266,7 @@ def compile_formula(f: Formula) -> list[tuple]:
 
 
 def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, UpSet],
-                strict: bool = True, count: int = 1) -> int:
+                count: int = 1) -> int:
     """Worlds forcing the last instruction of ``prog`` under ``count`` packed
     valuations; ``atom_bits`` holds each atom's packed world sets.  With
     ``count == 1`` atoms and result are plain world bitsets."""
@@ -279,9 +280,7 @@ def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, Up
         elif op == _ATOM:
             v = atom_bits.get(a)
             if v is None:
-                if strict:
-                    raise UnknownAtomError(f"valuation does not interpret atom {a!r}")
-                v = 0
+                raise UnknownAtomError(f"valuation does not interpret atom {a!r}")
         elif op == _NEG:
             v = all_w ^ _down(out[a], steps)
         elif op == _IMP:
@@ -293,16 +292,15 @@ def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, Up
     return out[-1]
 
 
-def truth_set(fr: MedvedevFrame, val: Valuation, f: Formula, strict: bool = True) -> int:
+def truth_set(fr: MedvedevFrame, val: Valuation, f: Formula) -> int:
     """Bitset of worlds forcing ``f``; compiles ``f`` once per call."""
-    return run_program(fr, compile_formula(f), val.map, strict)
+    return run_program(fr, compile_formula(f), val.map)
 
 
-def forces(fr: MedvedevFrame, val: Valuation, w: World, f: Formula,
-           strict: bool = True) -> bool:
+def forces(fr: MedvedevFrame, val: Valuation, w: World, f: Formula) -> bool:
     if not 1 <= w <= fr.world_count:
         raise ValueError(f"world mask {w} outside {fr!r}")
-    return bool(truth_set(fr, val, f, strict) >> (w - 1) & 1)
+    return bool(truth_set(fr, val, f) >> (w - 1) & 1)
 
 
 def persistence_check(fr: MedvedevFrame, val: Valuation, f: Formula) -> bool:
@@ -524,8 +522,10 @@ def refute(f: Formula, max_n: int, strategy: str = "auto", *,
 
     ``strategy`` is the ``valid_on`` mode used on every frame; frame ``n``
     samples with seed ``seed + n``.  A None return from sampled frames is
-    inconclusive.
+    inconclusive.  A ``max_n`` outside ``1..MAX_N`` is a ``ValueError``
+    before any frame is swept.
     """
+    frame(max_n)
     for n in range(1, max_n + 1):
         res = valid_on(frame(n), f, strategy, count=count, seed=seed + n, budget=budget)
         if res.witness is not None:

@@ -44,7 +44,7 @@ from .formula import (
     render,
 )
 from .ipc import classical_countermodel
-from .kpform import RANK_CAP, FrameCheck, kp_normalize
+from .kpform import FrameCheck, kp_normalize
 from .medvedev import (
     DEFAULT_VALUATION_BUDGET,
     RefutationWitness,
@@ -98,21 +98,19 @@ class LevinDecomposition:
         }
 
 
-def levin_decomposition(phi: Formula, max_n: int = 4, *, strategy: str = "auto",
-                        count: int = 1000, seed: int = 0,
-                        budget: int = DEFAULT_VALUATION_BUDGET,
-                        cap: int = RANK_CAP) -> LevinDecomposition | None:
+def levin_decomposition(phi: Formula, max_n: int = 4, *, count: int = 1000,
+                        seed: int = 0) -> LevinDecomposition | None:
     """Refute ``phi`` on a small frame and decompose the image of the witness.
 
     Returns None when no refutation is found up to ``max_n`` (inconclusive
     unless every frame was swept exhaustively and ``phi`` was valid on all).
     """
-    wit = refute(phi, max_n, strategy, count=count, seed=seed, budget=budget)
+    wit = refute(phi, max_n, count=count, seed=seed)
     if wit is None:
         return None
     sigma = universal_subst(wit.n, wit.valuation)
     image = apply_subst(sigma, phi)
-    nd = kp_normalize(image, cap=cap)
+    nd = kp_normalize(image)
     countermodels = []
     for body in nd.bodies:
         cm = classical_countermodel(Neg(body))
@@ -180,8 +178,10 @@ def admissibility_witness(premise: Formula, conclusion: Formula, max_n: int = 3,
     implication: ascending frame size, valuation enumeration order, then the
     least separating world (most generators, then smallest mask).  Returns
     None when no separation shows up within the bound (which does not prove
-    the conclusion follows).
+    the conclusion follows).  A ``max_n`` or ``validity_bound`` outside the
+    frame range is a ``ValueError`` before any search.
     """
+    frame(validity_bound)
     found = refute(Imp(premise, conclusion), max_n, strategy,
                    count=count, seed=seed, budget=budget)
     if found is None:
@@ -355,22 +355,22 @@ def check_alpha_transfer(pm: PMorphism, u: UniversalValuation,
 
 def transfer_check(pm: PMorphism, sigma: Substitution, u: UniversalValuation,
                    w: Valuation, test_formulas: Sequence[Formula] | None = None, *,
-                   count: int = 100, depth: int = 4, seed: int = 0) -> TransferReport:
+                   count: int = 100, seed: int = 0) -> TransferReport:
     """Forcing of substitution images transfers along the map: for each test
     formula ``chi``, ``x`` forces ``sigma(chi)`` under ``w`` exactly when
     ``f(x)`` forces it under the universal valuation.
 
     Defaults probe the atoms of ``sigma``'s domain, the constants, and
-    ``count`` seeded random formulas.  Image truth sets are evaluated
-    compositionally: each atom's image is evaluated once per side and the
-    test formula is then run over those truth sets, which agrees with
-    evaluating ``apply_subst(sigma, chi)`` directly.
+    ``count`` seeded random formulas of depth 4.  Image truth sets are
+    evaluated compositionally: each atom's image is evaluated once per side
+    and the test formula is then run over those truth sets, which agrees
+    with evaluating ``apply_subst(sigma, chi)`` directly.
     """
     domain = sorted(sigma.mapping)
     if test_formulas is None:
         rng = random.Random(seed)
         test_formulas = ([Atom(p) for p in domain] + [TOP, BOT]
-                         + [random_formula(rng, domain, depth) for _ in range(count)])
+                         + [random_formula(rng, domain, 4) for _ in range(count)])
 
     fr_m, fr_n = frame(pm.m), frame(pm.n)
     images = {p: compile_formula(sigma.lookup(p)) for p in domain}

@@ -93,6 +93,16 @@ def test_prove_ipc_on_a_3000_member_disjunction(tmp_path, capsys):
     assert run(capsys, "prove-ipc", "--file", str(path)) == (0, "provable\n", "")
 
 
+def test_normalize_proves_a_3000_member_disjunction_equivalent(tmp_path, capsys):
+    # its normal form is itself, and without the identity axiom the prover
+    # ran out of budget on f <-> f and printed no verdict
+    path = tmp_path / "negs.txt"
+    path.write_text(" | ".join(f"~p{i}" for i in range(3000)) + "\n")
+    code, out, _ = run(capsys, "normalize", "--file", str(path), "--verify-bound", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "intuitionistically equivalent: True"
+
+
 def test_deep_negation_chains_parse_and_prove(capsys):
     deep = "~" * 3000 + "p"
     assert run(capsys, "parse", deep) == (0, deep + "\n", "")
@@ -162,6 +172,24 @@ def test_refute_exit_codes(capsys):
     code, out, _ = run(capsys, "refute", "p -> p", "--max-n", "2")
     assert code == 2
     assert "no refutation" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["refute", "p -> p", "--max-n"],
+    ["levin", "p -> p", "--max-n"],
+    ["dp", "--left", "p", "--right", "q", "--max-n"],
+    ["normalize", "~p -> ~q | ~r", "--verify-bound"],
+    ["witness", "--premise", "p", "--conclusion", "q", "--validity-bound"],
+], ids=lambda argv: argv[0])
+def test_frame_bounds_outside_1_to_20_exit_3_before_any_work(capsys, argv):
+    # these printed "... up to M_0" (exit 2), an unchecked "established"
+    # (exit 0) or evidence-free certificates, or swept M_1..M_20 first
+    for bound in ("-1", "0", "21"):
+        assert run(capsys, *argv, bound) == (
+            3, "", f"error: frame parameter must be in 1..20, got {bound}\n")
+    if argv[0] == "witness":
+        assert run(capsys, *argv[:-1], "--max-n", "0") == (
+            3, "", "error: frame parameter must be in 1..20, got 0\n")
 
 
 def test_alpha_text_golden(capsys):
@@ -415,6 +443,20 @@ _FUZZ_COMMANDS = [
     ["levin", "--max-n", "2"],
 ]
 
+# frame-size and count options, each run at -1, 0 and 21
+_FUZZ_BOUNDS = [
+    ["check", "p | ~p", "--n"], ["check", "p | ~p", "--n", "2", "--mode", "sample", "--count"],
+    ["alpha", "--n"], ["subst", "p", "--valuation", "{valuation}", "--n"],
+    ["refute", "p | ~p", "--max-n"], ["refute", "p | ~p", "--count"],
+    ["levin", "p | ~p", "--max-n"], ["levin", "p | ~p", "--count"],
+    ["normalize", "~p | ~q", "--verify-bound"],
+    ["witness", "--premise", "p | q", "--conclusion", "p", "--max-n"],
+    ["witness", "--premise", "p | q", "--conclusion", "p", "--validity-bound"],
+    ["witness", "--premise", "p | q", "--conclusion", "p", "--count"],
+    ["dp", "--left", "~p", "--right", "~~p", "--max-n"],
+    ["dp", "--left", "~p", "--right", "~~p", "--count"],
+]
+
 _FUZZ_TOKENS = ["p", "q", "r", "F", "T", "~", "(", ")", "&", "|", "->", " ", "-", "P", "$"]
 
 
@@ -463,8 +505,18 @@ def _fuzz_files(rng):
 def test_cli_fuzz_exits_cleanly(tmp_path, capsys):
     # every input ends with an exit code of the contract and no crash report
     rng = random.Random(1961)
+    texts = _fuzz_texts(rng)
     runs = [_FUZZ_COMMANDS[i % len(_FUZZ_COMMANDS)] + ["--", text]
-            for i, text in enumerate(_fuzz_texts(rng))]
+            for i, text in enumerate(texts)]
+    for text, other in zip(texts, texts[1:] + texts[:1]):
+        runs.append(["witness", "--max-n", "2", "--validity-bound", "2",
+                     f"--premise={text}", f"--conclusion={other}"])
+        runs.append(["dp", "--max-n", "2", f"--left={text}", f"--right={other}"])
+    valuation = tmp_path / "valuation.json"
+    valuation.write_text(json.dumps({"p": [[1]]}))
+    for argv in _FUZZ_BOUNDS:
+        runs += [[a.format(valuation=valuation) for a in argv] + [bound]
+                 for bound in ("-1", "0", "21")]
     for i, content in enumerate(_fuzz_files(rng)):
         path = tmp_path / f"{i}.json"
         path.write_text(content)

@@ -211,6 +211,8 @@ class _RefProver:
     """G4ip on ``Formula`` trees with a hashed sequent memo, recursing on the
     Python stack; the rule order the interned prover must keep."""
 
+    identity = True  # close G, A => A before decomposing anything
+
     def __init__(self, budget):
         self.left = budget
         self.memo = {}
@@ -222,6 +224,8 @@ class _RefProver:
 
     def prove(self, pending, atoms_, imps, goal):
         self._tick()
+        if self.identity and (goal in pending or goal in imps):
+            return True
         pending = list(pending)
         atom_set = set(atoms_)
         imp_list = list(imps)
@@ -344,6 +348,19 @@ def test_interned_prover_matches_recursive_reference():
             assert got == want, (budget, render(f))
             exhausted += want[0] == "budget"
         assert (exhausted == 0) == (budget == 10**6), budget
+
+
+class _RefProverWithoutIdentity(_RefProver):
+    """The reference without the identity shortcut: it decomposes ``A`` on
+    both sides, so it spends more expansions for the same verdict."""
+
+    identity = False
+
+
+def test_verdicts_match_the_reference_without_identity_shortcut():
+    for f in _differential_corpus():
+        ref = _RefProverWithoutIdentity(10**6)
+        assert ipc_provable(f) == ref.prove([], frozenset(), (), _ref_desugar(f)), render(f)
 
 
 def test_deep_inputs_prove_without_recursion():
