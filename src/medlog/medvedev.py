@@ -259,10 +259,20 @@ def valuation_from_obj(fr: MedvedevFrame, obj: Mapping[str, Iterable[Iterable[in
 
 # --- forcing -----------------------------------------------------------------
 
+_compiled: tuple[Formula, list[tuple]] | None = None  # last formula compiled, its program
+
+
 def compile_formula(f: Formula) -> list[tuple]:
     """Postorder program over structurally distinct subformulas: the
-    instructions of the ``_dag`` numbering."""
-    return _dag(f)[1]
+    instructions of the ``_dag`` numbering.  The last formula object compiled
+    is remembered by identity, and kept alive with its program, so checking it
+    on several frames, or checking and then proving it, walks it once; the
+    returned list is shared and must not be mutated."""
+    global _compiled
+    last = _compiled
+    if last is None or last[0] is not f:
+        last = _compiled = f, _dag(f)[1]
+    return last[1]
 
 
 def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, UpSet],
@@ -293,7 +303,7 @@ def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, Up
 
 
 def truth_set(fr: MedvedevFrame, val: Valuation, f: Formula) -> int:
-    """Bitset of worlds forcing ``f``; compiles ``f`` once per call."""
+    """Bitset of worlds forcing ``f``."""
     return run_program(fr, compile_formula(f), val.map)
 
 

@@ -187,16 +187,17 @@ def admissibility_witness(premise: Formula, conclusion: Formula, max_n: int = 3,
     if found is None:
         return None
     fr, val = frame(found.n), found.valuation
-    separating = truth_set(fr, val, premise) & ~truth_set(fr, val, conclusion)
+    prog_p, prog_c = compile_formula(premise), compile_formula(conclusion)
+    separating = run_program(fr, prog_p, val.map) & ~run_program(fr, prog_c, val.map)
     w = min(upset_worlds(separating), key=lambda w: (-w.bit_count(), w))
     sub = generated_subframe(fr, w)
     restricted = sub.restrict_valuation(val)
     k = sub.frame.n
 
     # premise forced at w persists to the whole cone; conclusion fails at its root
-    if truth_set(sub.frame, restricted, premise) != sub.frame.all_worlds:
+    if run_program(sub.frame, prog_p, restricted.map) != sub.frame.all_worlds:
         raise SelfCheckError("premise is not globally forced on the generated subframe")
-    if truth_set(sub.frame, restricted, conclusion) >> (sub.frame.bottom() - 1) & 1:
+    if run_program(sub.frame, prog_c, restricted.map) >> (sub.frame.bottom() - 1) & 1:
         raise SelfCheckError("conclusion did not fail at the subframe bottom")
 
     sigma = universal_subst(k, restricted)

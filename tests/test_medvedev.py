@@ -538,6 +538,75 @@ def test_packed_run_program_matches_single_calls():
             assert got >> k * block == 0
 
 
+# --- the one-entry compile memo -----------------------------------------
+
+def test_compile_memo_matches_a_fresh_walk():
+    """Repeats, equal copies, alternation and non-formulas, interleaved: every
+    program equals a fresh ``_dag`` walk, and only a repeat of the last
+    object returns the stored list itself."""
+    from medlog.formula import _dag
+
+    rng = random.Random(83)
+    pool = [random_formula(rng, ["p", "q", "r"], rng.randrange(1, 6)) for _ in range(12)]
+    last, hits = None, 0
+    for _ in range(400):
+        case = rng.randrange(4)
+        if case == 0 and last is not None:
+            f = last  # the same object again
+        elif case == 1:
+            f = parse(render(rng.choice(pool)))  # equal to a pool member, distinct
+        elif case == 2:
+            f = pool[len(pool) // 2 if last is pool[0] else 0]  # two formulas in turn
+        else:
+            stored = medvedev._compiled
+            with pytest.raises(TypeError):
+                compile_formula(rng.choice(["p", None, 3, ("p",)]))
+            assert medvedev._compiled is stored
+            continue
+        prev = medvedev._compiled
+        prog = compile_formula(f)
+        assert prog == _dag(f)[1], render(f)
+        if prev is not None and prev[0] is f:
+            assert prog is prev[1]
+            hits += 1
+        else:
+            assert prev is None or prog is not prev[1]
+        assert medvedev._compiled[0] is f and medvedev._compiled[1] is prog
+        last = f
+    assert hits > 50
+
+
+def _count_walks(monkeypatch):
+    walks = []
+    real = medvedev._dag
+
+    def counted(f):
+        walks.append(f)
+        return real(f)
+
+    monkeypatch.setattr(medvedev, "_dag", counted)
+    return walks
+
+
+def test_normal_form_check_and_proof_walk_the_equivalence_once(monkeypatch):
+    from medlog.kpform import kp_normalize, verify_normal_form
+
+    f = parse("(~p | ~q) & ~r")
+    nd = kp_normalize(f)
+    walks = _count_walks(monkeypatch)
+    rep = verify_normal_form(f, nd, bound=3)
+    assert rep.ipc_equivalent is True and len(rep.frame_checks) == 3
+    assert len(walks) == 1
+
+
+def test_refute_and_its_witness_walk_the_formula_once(monkeypatch):
+    f = parse("((p -> q) -> p) -> p")
+    walks = _count_walks(monkeypatch)
+    wit = refute(f, max_n=3)
+    assert wit is not None and wit.n == 2
+    assert walks == [f]
+
+
 # --- subframes and block embeddings ------------------------------------
 
 def test_generated_subframe_compress_expand():
