@@ -16,7 +16,6 @@ frames (plus a full intuitionistic proof when no ``->`` is involved).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InfiniteRankError, RankOverflowError, SearchBudgetError
@@ -161,10 +160,12 @@ def kp_normalize(f: Formula, cap: int = RANK_CAP) -> NegDisjunction:
             case Imp(a, b):
                 xs, ys = bodies[id(a)], bodies[id(b)]
                 _checked(len(ys) ** len(xs), g, cap)
-                out = tuple(
-                    big_or([And(Neg(x), ys[j]) for x, j in zip(xs, choice)])
-                    for choice in itertools.product(range(len(ys)), repeat=len(xs))
-                )
+                # choices for the last antecedent body vary fastest; each body
+                # shares its tail with the bodies that agree on the later choices
+                out = tuple(And(Neg(xs[-1]), y) for y in ys)
+                for x in reversed(xs[:-1]):
+                    heads = [And(Neg(x), y) for y in ys]
+                    out = tuple(Or(head, rest) for head in heads for rest in out)
             case _:
                 raise InfiniteRankError(
                     f"{render(g)} has no finite rank; cannot normalize"

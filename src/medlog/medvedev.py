@@ -543,73 +543,57 @@ def refute(f: Formula, max_n: int, strategy: str = "auto", *,
     return None
 
 
-# --- subframes and the disjunction property ----------------------------------
+# --- frame maps and the disjunction property ---------------------------------
 
 @dataclass(frozen=True)
-class GeneratedSubframe:
-    """The cone above ``root`` in ``source``, renumbered as a frame in its own right."""
+class PMorphism:
+    """A world map from ``M_m`` to ``M_n``, stored as a dense tuple by source mask."""
 
-    source: MedvedevFrame
-    root: World
-    frame: MedvedevFrame
-    gen_map: Mapping[int, int]  # source generator -> subframe generator
+    m: int
+    n: int
+    mapping: tuple[int, ...]
 
-    def compress(self, w: World) -> World:
-        if w | self.root != self.root:
-            raise ValueError(f"world {gens(w)} is not above {gens(self.root)}")
+    @classmethod
+    def from_max_map(cls, m: int, n: int, point_map: Mapping[int, int]) -> "PMorphism":
+        """Extend a map on maximal worlds (generator i -> generator j) by meets."""
+        if set(point_map) != set(range(1, m + 1)):
+            raise ValueError(f"point map must cover generators 1..{m}")
+        if not all(1 <= j <= n for j in point_map.values()):
+            raise ValueError(f"point map targets must lie in 1..{n}")
+        images = []
+        for w in frame(m).worlds():
+            out = 0
+            for g in gens(w):
+                out |= 1 << (point_map[g] - 1)
+            images.append(out)
+        return cls(m, n, tuple(images))
+
+    def apply(self, w: World) -> World:
+        return self.mapping[w - 1]
+
+    def pullback(self, bits: int) -> int:
+        """Source worlds whose image lies in ``bits``; a monotone map pulls
+        up-sets back to up-sets."""
         out = 0
-        for g in gens(w):
-            out |= 1 << (self.gen_map[g] - 1)
+        for i, y in enumerate(self.mapping):
+            if bits >> (y - 1) & 1:
+                out |= 1 << i
         return out
 
-    def expand(self, w: World) -> World:
-        inv = {v: k for k, v in self.gen_map.items()}
-        out = 0
-        for g in gens(w):
-            out |= 1 << (inv[g] - 1)
-        return out
 
-    def restrict_valuation(self, val: Valuation) -> Valuation:
-        out = {}
-        for atom, bits in val.map.items():
-            new_bits = 0
-            for w in upset_worlds(bits):
-                if w | self.root == self.root:
-                    new_bits |= 1 << (self.compress(w) - 1)
-            out[atom] = new_bits
-        return Valuation(self.frame, out)
-
-
-def generated_subframe(fr: MedvedevFrame, w: World) -> GeneratedSubframe:
-    """The worlds above ``w`` form a Medvedev frame on ``popcount(w)`` generators."""
+def generated_subframe(fr: MedvedevFrame, w: World) -> PMorphism:
+    """The worlds above ``w`` as the frame on ``popcount(w)`` generators:
+    generator ``i`` maps to the ``i``-th generator of ``w``."""
     if not 1 <= w <= fr.world_count:
         raise ValueError(f"world mask {w} outside {fr!r}")
-    gen_map = {g: i + 1 for i, g in enumerate(gens(w))}
-    return GeneratedSubframe(fr, w, frame(w.bit_count()), gen_map)
+    return PMorphism.from_max_map(w.bit_count(), fr.n, dict(enumerate(gens(w), 1)))
 
 
-@dataclass(frozen=True)
-class BlockEmbedding:
-    """A generated-subframe copy of a smaller frame on a generator block."""
-
-    source: MedvedevFrame
-    target: MedvedevFrame
-    shift: int
-
-    def embed_world(self, w: World) -> World:
-        return w << self.shift
-
-    def embed_upset(self, bits: UpSet) -> UpSet:
-        out = 0
-        for w in upset_worlds(bits):
-            out |= 1 << ((w << self.shift) - 1)
-        return out
-
-
-def disjoint_embed(m: int, n: int) -> tuple[BlockEmbedding, BlockEmbedding]:
-    """Embed the frames for m and n on disjoint generator blocks of m + n."""
-    target = frame(m + n)
-    return BlockEmbedding(frame(m), target, 0), BlockEmbedding(frame(n), target, m)
+def disjoint_embed(m: int, n: int) -> tuple[PMorphism, PMorphism]:
+    """Map the frames for m and n onto disjoint generator blocks of m + n."""
+    frame(m + n)
+    return (PMorphism.from_max_map(m, m + n, {i: i for i in range(1, m + 1)}),
+            PMorphism.from_max_map(n, m + n, {i: m + i for i in range(1, n + 1)}))
 
 
 def dp_countermodel(wit_left: RefutationWitness,
@@ -621,13 +605,15 @@ def dp_countermodel(wit_left: RefutationWitness,
     persists upward, so a world below both failures forces neither disjunct).
     """
     m, n = wit_left.n, wit_right.n
-    emb_left, emb_right = disjoint_embed(m, n)
-    target = emb_left.target
+    left, right = disjoint_embed(m, n)
+    target = frame(m + n)
     combined: dict[str, UpSet] = {}
     for atom in sorted(set(wit_left.valuation.map) | set(wit_right.valuation.map)):
-        bits = (emb_left.embed_upset(wit_left.valuation.map.get(atom, 0))
-                | emb_right.embed_upset(wit_right.valuation.map.get(atom, 0)))
+        bits = 0
+        for emb, wit in ((left, wit_left), (right, wit_right)):
+            for w in upset_worlds(wit.valuation.map.get(atom, 0)):
+                bits |= 1 << (emb.apply(w) - 1)
         combined[atom] = close_up(target, bits)
     val = Valuation(target, combined)
-    w = emb_left.embed_world(wit_left.world) | emb_right.embed_world(wit_right.world)
+    w = left.apply(wit_left.world) | right.apply(wit_right.world)
     return RefutationWitness(m + n, val, w, Or(wit_left.formula, wit_right.formula))

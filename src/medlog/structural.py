@@ -47,6 +47,7 @@ from .ipc import classical_countermodel
 from .kpform import FrameCheck, kp_normalize
 from .medvedev import (
     DEFAULT_VALUATION_BUDGET,
+    PMorphism,
     RefutationWitness,
     Valuation,
     compile_formula,
@@ -190,20 +191,21 @@ def admissibility_witness(premise: Formula, conclusion: Formula, max_n: int = 3,
     prog_p, prog_c = compile_formula(premise), compile_formula(conclusion)
     separating = run_program(fr, prog_p, val.map) & ~run_program(fr, prog_c, val.map)
     w = min(upset_worlds(separating), key=lambda w: (-w.bit_count(), w))
-    sub = generated_subframe(fr, w)
-    restricted = sub.restrict_valuation(val)
-    k = sub.frame.n
+    emb = generated_subframe(fr, w)
+    k = emb.m
+    sub = frame(k)
+    restricted = Valuation(sub, {a: emb.pullback(bits) for a, bits in val.map.items()})
 
     # premise forced at w persists to the whole cone; conclusion fails at its root
-    if run_program(sub.frame, prog_p, restricted.map) != sub.frame.all_worlds:
+    if run_program(sub, prog_p, restricted.map) != sub.all_worlds:
         raise SelfCheckError("premise is not globally forced on the generated subframe")
-    if run_program(sub.frame, prog_c, restricted.map) >> (sub.frame.bottom() - 1) & 1:
+    if run_program(sub, prog_c, restricted.map) >> (sub.bottom() - 1) & 1:
         raise SelfCheckError("conclusion did not fail at the subframe bottom")
 
     sigma = universal_subst(k, restricted)
     u = u_valuation(k)
     refutation = RefutationWitness(
-        k, u.valuation, sub.frame.bottom(), apply_subst(sigma, conclusion)
+        k, u.valuation, sub.bottom(), apply_subst(sigma, conclusion)
     )
 
     image_premise = apply_subst(sigma, premise)
@@ -230,33 +232,6 @@ def admissibility_witness(premise: Formula, conclusion: Formula, max_n: int = 3,
 
 
 # --- point maps between frames -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PMorphism:
-    """A world map between frames, stored as a dense tuple by source mask."""
-
-    m: int
-    n: int
-    mapping: tuple[int, ...]
-
-    @classmethod
-    def from_max_map(cls, m: int, n: int, point_map: Mapping[int, int]) -> "PMorphism":
-        """Extend a map on maximal worlds (generator i -> generator j) by meets."""
-        if set(point_map) != set(range(1, m + 1)):
-            raise ValueError(f"point map must cover generators 1..{m}")
-        if not all(1 <= j <= n for j in point_map.values()):
-            raise ValueError(f"point map targets must lie in 1..{n}")
-        images = []
-        for w in frame(m).worlds():
-            out = 0
-            for g in gens(w):
-                out |= 1 << (point_map[g] - 1)
-            images.append(out)
-        return cls(m, n, tuple(images))
-
-    def apply(self, w: int) -> int:
-        return self.mapping[w - 1]
 
 
 @dataclass(frozen=True)
@@ -335,13 +310,11 @@ def _transfer_case(pm: PMorphism, f: Formula, source: Valuation,
                    target: Valuation) -> TransferCase:
     """Compare ``x`` forcing ``f`` under ``source`` with ``pm.apply(x)``
     forcing it under ``target``, reporting the least world where they differ."""
-    fr_m, prog = frame(pm.m), compile_formula(f)
-    ts_source = run_program(fr_m, prog, source.map)
+    prog = compile_formula(f)
+    ts_source = run_program(frame(pm.m), prog, source.map)
     ts_target = run_program(frame(pm.n), prog, target.map)
-    for x in fr_m.worlds():
-        if bool(ts_source >> (x - 1) & 1) != bool(ts_target >> (pm.apply(x) - 1) & 1):
-            return TransferCase(f, False, x)
-    return TransferCase(f, True, None)
+    diff = ts_source ^ pm.pullback(ts_target)
+    return TransferCase(f, not diff, (diff & -diff).bit_length() or None)
 
 
 def check_alpha_transfer(pm: PMorphism, u: UniversalValuation,

@@ -357,3 +357,20 @@ def test_rank_and_normal_form_on_deep_skeletons():
     assert report.ok and report.needs_weak_kp and not report.constants_as_negations
     assert report.frame_checks == (FrameCheck(1, "exhaustive", True, 2 ** 7),
                                    FrameCheck(2, "exhaustive", True, 5 ** 7))
+
+
+def test_normalize_builds_implication_bodies_from_shared_tails():
+    # 4,096 bodies of 12 disjuncts each; bodies that agree on the later
+    # choices share one tail, so they hold about two new objects apiece
+    k = 12
+    f = parse("(" + " | ".join(f"~p{i}" for i in range(k)) + ") -> (~q | ~r)")
+    bodies = kp_normalize(f).bodies
+    assert len(bodies) == 2 ** k
+    seen = set()
+    stack = list(bodies)
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen.add(id(g))
+            stack.extend(getattr(g, a) for a in ("body", "lhs", "rhs") if hasattr(g, a))
+    assert len(seen) <= 3 * len(bodies)

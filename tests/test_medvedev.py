@@ -612,11 +612,16 @@ def test_refute_and_its_witness_walk_the_formula_once(monkeypatch):
 def test_generated_subframe_compress_expand():
     fr = frame(3)
     sub = generated_subframe(fr, world(1, 3))
-    assert sub.frame.n == 2
-    assert sub.expand(sub.compress(world(1, 3))) == world(1, 3)
-    assert sub.compress(world(1, 3)) == sub.frame.bottom()
-    assert sub.compress(world(1)) == world(1)
-    assert sub.compress(world(3)) == world(2)
+    assert sub.m == 2
+
+    def compress(w):  # the one subframe world mapped onto w
+        (x,) = upset_worlds(sub.pullback(1 << (w - 1)))
+        return x
+
+    assert sub.apply(compress(world(1, 3))) == world(1, 3)
+    assert compress(world(1, 3)) == frame(sub.m).bottom()
+    assert compress(world(1)) == world(1)
+    assert compress(world(3)) == world(2)
 
 
 def test_generated_subframe_preserves_truth():
@@ -625,23 +630,24 @@ def test_generated_subframe_preserves_truth():
     fr = frame(4)
     root = world(1, 3, 4)
     sub = generated_subframe(fr, root)
-    assert sub.frame.n == 3
+    assert sub.m == 3
+    small_fr = frame(sub.m)
     for _ in range(30):
         val = sample_valuation(fr, ["p", "q"], rng)
-        restricted = sub.restrict_valuation(val)
+        restricted = Valuation(small_fr, {a: sub.pullback(bits) for a, bits in val.map.items()})
         f = random_formula(rng, ["p", "q"], depth=4)
         big = truth_set(fr, val, f)
-        small = truth_set(sub.frame, restricted, f)
-        for w in sub.frame.worlds():
+        small = truth_set(small_fr, restricted, f)
+        for w in small_fr.worlds():
             assert bool(small >> (w - 1) & 1) == bool(
-                big >> (sub.expand(w) - 1) & 1), (f, w)
+                big >> (sub.apply(w) - 1) & 1), (f, w)
 
 
 def test_disjoint_embed_blocks():
     left, right = disjoint_embed(2, 3)
-    assert left.embed_world(world(1, 2)) == world(1, 2)
-    assert right.embed_world(world(1)) == world(3)
-    assert right.embed_world(world(1, 2, 3)) == world(3, 4, 5)
+    assert left.apply(world(1, 2)) == world(1, 2)
+    assert right.apply(world(1)) == world(3)
+    assert right.apply(world(1, 2, 3)) == world(3, 4, 5)
 
 
 def test_dp_countermodel_combines_witnesses():

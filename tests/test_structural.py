@@ -22,11 +22,12 @@ from medlog.medvedev import (
     compile_formula,
     exhaustive_cost,
     frame,
-    generated_subframe,
+    gens,
     iter_valuations,
     run_program,
     sample_valuation,
     truth_set,
+    upset_worlds,
     valid_on,
     valuation,
     world,
@@ -174,8 +175,16 @@ def reference_separation(premise, conclusion, max_n, strategy, count, seed):
             if sep:
                 w = max((w for w in fr.worlds() if sep >> (w - 1) & 1),
                         key=lambda w: (w.bit_count(), -w))
-                sub = generated_subframe(fr, w)
-                return sub.frame.n, sub.restrict_valuation(val).to_obj()
+                # the cone above w, generator g of w renumbered to its rank in w
+                rank = {g: i for i, g in enumerate(gens(w), 1)}
+                restricted = {}
+                for atom, bits in val.map.items():
+                    cone = 0
+                    for x in upset_worlds(bits):
+                        if x | w == w:
+                            cone |= 1 << (world(*(rank[g] for g in gens(x))) - 1)
+                    restricted[atom] = cone
+                return w.bit_count(), Valuation(frame(w.bit_count()), restricted).to_obj()
     return None
 
 
