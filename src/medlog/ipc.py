@@ -164,7 +164,7 @@ def classical_countermodel(f: Formula) -> dict[str, bool] | None:
         raise LimitError(f"{len(names)} atoms exceeds the classical limit "
                          f"{MAX_CLASSICAL_ATOMS}")
     fr = frame(1)
-    _, wit = _sweep(fr, f, prog, _valuation_chunks(fr, names[::-1]))
+    _, wit = _sweep(fr, f, prog, _valuation_chunks(fr, names[::-1], len(prog)))
     if wit is None:
         return None
     return {nm: bool(wit.valuation.map[nm]) for nm in names}

@@ -35,7 +35,7 @@ from .formula import (
     render,
 )
 from .ipc import ipc_provable
-from .medvedev import ValidityResult, frame, valid_on
+from .medvedev import FrameCheck, frame, valid_on
 
 RANK_CAP = 1 << 20
 
@@ -175,21 +175,6 @@ def kp_normalize(f: Formula, cap: int = RANK_CAP) -> NegDisjunction:
 
 
 @dataclass(frozen=True)
-class FrameCheck:
-    n: int
-    mode: str  # "exhaustive" | "sample"
-    valid: bool
-    checked: int
-
-    @classmethod
-    def of(cls, n: int, res: ValidityResult) -> "FrameCheck":
-        return cls(n, "exhaustive" if res.exhaustive else "sample", res.valid, res.checked)
-
-    def to_obj(self) -> dict:
-        return {"n": self.n, "mode": self.mode, "valid": self.valid, "checked": self.checked}
-
-
-@dataclass(frozen=True)
 class NormalFormReport:
     formula: Formula
     disjunct_count: int
@@ -220,13 +205,10 @@ def verify_normal_form(f: Formula, nd: NegDisjunction, bound: int = 3, *,
     """
     frame(bound)
     both = iff(f, nd.to_formula())
-    checks = []
-    for n in range(1, bound + 1):
-        fr = frame(n)
-        # a sweep costs valuations * world_count, and max_exhaustive caps valuations
-        res = valid_on(fr, both, "auto", count=sample_count, seed=seed + n,
-                       budget=max_exhaustive * fr.world_count)
-        checks.append(FrameCheck.of(n, res))
+    # a sweep costs valuations * world_count, and max_exhaustive caps valuations
+    checks = tuple(valid_on(frame(n), both, "auto", count=sample_count, seed=seed + n,
+                            budget=max_exhaustive * frame(n).world_count)
+                   for n in range(1, bound + 1))
 
     skeleton_types = {type(g) for g in _skeleton(f)}
     needs_weak_kp = Imp in skeleton_types
@@ -242,7 +224,7 @@ def verify_normal_form(f: Formula, nd: NegDisjunction, bound: int = 3, *,
         formula=f,
         disjunct_count=len(nd),
         rank_matches=rank.value == len(nd),
-        frame_checks=tuple(checks),
+        frame_checks=checks,
         needs_weak_kp=needs_weak_kp,
         ipc_equivalent=ipc_equivalent,
         constants_as_negations=Bot in skeleton_types or Top in skeleton_types,

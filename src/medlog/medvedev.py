@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
@@ -158,13 +158,18 @@ def _down(bits: int, steps) -> int:
     return bits
 
 
+def _up(bits: int, steps) -> int:
+    """Worlds above some world of ``bits``: generators removed one at a time."""
+    for shift, mask in steps:
+        bits |= (bits & mask) >> shift
+    return bits
+
+
 # --- up-sets ----------------------------------------------------------------
 
 def close_up(fr: MedvedevFrame, bits: int) -> UpSet:
-    """Upward closure of any set of worlds: generators removed one at a time."""
-    for shift, mask in _layout(fr.n, 1)[1]:
-        bits |= (bits & mask) >> shift
-    return bits
+    """Upward closure of any set of worlds."""
+    return _up(bits, _layout(fr.n, 1)[1])
 
 
 def down_closure(fr: MedvedevFrame, bits: int) -> int:
@@ -363,11 +368,22 @@ def witness_from_obj(obj: Mapping) -> RefutationWitness:
 
 
 @dataclass(frozen=True)
-class ValidityResult:
+class FrameCheck:
+    """A sweep on ``M_n``: the ``mode`` that ran, whether ``f`` held under all
+    ``checked`` valuations, and otherwise the first refutation."""
+
+    n: int
+    mode: str
     valid: bool
-    exhaustive: bool
     checked: int
     witness: RefutationWitness | None = None
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.mode == "exhaustive"
+
+    def to_obj(self) -> dict:
+        return {"n": self.n, "mode": self.mode, "valid": self.valid, "checked": self.checked}
 
 
 def iter_valuations(fr: MedvedevFrame, names: list[str]) -> Iterator[Valuation]:
@@ -392,30 +408,39 @@ def exhaustive_cost(fr: MedvedevFrame, atom_count: int) -> int | None:
 
 # --- sweeps -------------------------------------------------------------------
 #
-# A sweep evaluates a chunk of valuations in one packed ``run_program`` call.
-# The lowest failing bit of a chunk names its first failing valuation and,
-# within that valuation's block, the failing world of smallest mask.
+# A sweep evaluates a chunk of valuations, (start, length, packed value of each
+# atom), in one ``run_program`` call.  The lowest failing bit of a chunk names
+# its first failing valuation, whose block of each atom's value is the witness,
+# and, within that block, the failing world of smallest mask.
 
 # Valuations per chunk of an exhaustive sweep; bounds the width of every packed
 # value, hence the memory of a sweep on M_4 and beyond.
 _CHUNK_VALUATIONS = 1 << 16
+# Bits per chunk of all the packed values ``run_program`` keeps, one per
+# instruction; narrows the chunks of long programs.
+_CHUNK_BITS = 1 << 28
 
 
-def _chunks(u: int, atom_count: int) -> Iterator[tuple[int, int]]:
+def _chunk_cap(fr: MedvedevFrame, instructions: int, valuations: int) -> int:
+    """``valuations`` per chunk, at least 1 and lowered to fit ``_CHUNK_BITS``."""
+    return max(1, min(valuations, _CHUNK_BITS // (instructions * _block_bits(fr.n))))
+
+
+def _chunks(u: int, atom_count: int, cap: int) -> Iterator[tuple[int, int]]:
     """(start, length) of each chunk of the valuation axis, in order.
 
     A chunk holds all combinations of the innermost atoms that fit under
-    ``_CHUNK_VALUATIONS`` together, times a range of up-sets of the next atom
+    ``cap`` valuations together, times a range of up-sets of the next atom
     out, whose up-sets are split across chunks; the outer atoms are fixed.
     """
     inner, fitted = 1, 0
-    while fitted < atom_count and inner * u <= _CHUNK_VALUATIONS:
+    while fitted < atom_count and inner * u <= cap:
         inner *= u
         fitted += 1
     if fitted == atom_count:
         yield 0, inner
         return
-    piece = _CHUNK_VALUATIONS // inner
+    piece = cap // inner
     for base in range(0, u ** (atom_count - fitted), u):
         for first in range(0, u, piece):
             yield (base + first) * inner, min(piece, u - first) * inner
@@ -432,44 +457,42 @@ def _upset_runs(n: int, first: int, count: int, run: int, reps: int) -> int:
     return int.from_bytes(blocks * reps, "little")
 
 
-def _valuation_chunks(fr: MedvedevFrame, names: list[str]) -> Iterator[tuple]:
-    """Every valuation over ``names`` in ``iter_valuations`` order, by chunks:
-    (start, length, packed atom values, valuation at an offset in the chunk)."""
-    ups = _upset_list(fr.n)
-    u = len(ups)
-    # an atom with ``stride`` valuations per up-set has up-set index
-    # ``v // stride % u`` at valuation ``v``
-    strides = {nm: u ** (len(names) - 1 - i) for i, nm in enumerate(names)}
-
-    def at(start: int, offset: int) -> Valuation:
-        index = start + offset
-        return Valuation(fr, {nm: ups[index // s % u] for nm, s in strides.items()})
-
-    for start, length in _chunks(u, len(names)):
+def _valuation_chunks(fr: MedvedevFrame, names: list[str],
+                      instructions: int) -> Iterator[tuple]:
+    """Every valuation over ``names`` in ``iter_valuations`` order, by chunks
+    sized for a program of ``instructions`` instructions."""
+    u = len(_upset_list(fr.n))
+    cap = _chunk_cap(fr, instructions, _CHUNK_VALUATIONS)
+    for start, length in _chunks(u, len(names), cap):
         atom_bits = {}
-        for nm, stride in strides.items():
+        for i, nm in enumerate(names):
+            # ``stride`` valuations per up-set: up-set index ``v // stride % u``
+            stride = u ** (len(names) - 1 - i)
             run = min(stride, length)  # the whole chunk when the atom is fixed in it
             count = min(u, length // run)
             atom_bits[nm] = _upset_runs(fr.n, start // stride % u, count, run,
                                         length // (count * run))
-        yield start, length, atom_bits, partial(at, start)
+        yield start, length, atom_bits
 
 
-def _sample_chunks(fr: MedvedevFrame, names: list[str], count: int,
-                   seed: int) -> Iterator[tuple]:
-    """``count`` seeded ``sample_valuation`` draws, by chunks of doubling length:
-    (start, length, packed atom values, valuation at an offset in the chunk)."""
+def _sample_chunks(fr: MedvedevFrame, names: list[str], count: int, seed: int,
+                   instructions: int) -> Iterator[tuple]:
+    """``count`` seeded ``sample_valuation`` draws, by chunks of doubling length
+    sized for ``instructions``: the raw draws, taken valuation by valuation and
+    atom by atom as ``sample_valuation`` takes them, packed per atom and closed
+    up per chunk."""
     rng = random.Random(seed)
     size = _block_bits(fr.n) // 8
-    cap = max(1, _CHUNK_VALUATIONS // fr.world_count)
+    cap = _chunk_cap(fr, instructions, _CHUNK_VALUATIONS // fr.world_count)
     start, length = 0, 1
     while start < count:
         length = min(length, count - start)
-        drawn = [sample_valuation(fr, names, rng) for _ in range(length)]
-        atom_bits = {nm: int.from_bytes(b"".join(v.map[nm].to_bytes(size, "little")
-                                                 for v in drawn), "little")
-                     for nm in names}
-        yield start, length, atom_bits, drawn.__getitem__
+        raw = [rng.getrandbits(fr.world_count).to_bytes(size, "little")
+               for _ in range(length * len(names))]
+        steps = _layout(fr.n, length)[1]
+        atom_bits = {nm: _up(int.from_bytes(b"".join(raw[i::len(names)]), "little"), steps)
+                     for i, nm in enumerate(names)}
+        yield start, length, atom_bits
         start += length
         length = min(2 * length, cap)
 
@@ -481,25 +504,27 @@ def _sweep(fr: MedvedevFrame, f: Formula, prog: list[tuple],
     when every valuation passed."""
     block = _block_bits(fr.n)
     checked = 0
-    for start, length, atom_bits, at in chunks:
+    for start, length, atom_bits in chunks:
         fails = _layout(fr.n, length)[0] ^ run_program(fr, prog, atom_bits, count=length)
         if fails:
             bit = (fails & -fails).bit_length() - 1
             offset, w = divmod(bit, block)
-            return start + offset + 1, RefutationWitness(fr.n, at(offset), w + 1, f)
+            val = Valuation(fr, {nm: bits >> offset * block & fr.all_worlds
+                                 for nm, bits in atom_bits.items()})
+            return start + offset + 1, RefutationWitness(fr.n, val, w + 1, f)
         checked = start + length
     return checked, None
 
 
 def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
              count: int = 1000, seed: int = 0,
-             budget: int = DEFAULT_VALUATION_BUDGET) -> ValidityResult:
+             budget: int = DEFAULT_VALUATION_BUDGET) -> FrameCheck:
     """Check ``f`` at every world under every (or ``count`` sampled) valuations.
 
     ``mode``: "exhaustive" (``LimitError`` when the sweep's
     ``exhaustive_cost`` is unsupported or over ``budget``), "sample", or
     "auto" (exhaustive when the cost is within ``budget``, sampled
-    otherwise); ``ValidityResult.exhaustive`` reports which ran.  A negative
+    otherwise); ``FrameCheck.mode`` reports which ran.  A negative
     ``count`` is a ``ValueError`` in every mode.
 
     Valuations run in enumeration order (``iter_valuations``) or in the order
@@ -519,10 +544,11 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
         raise LimitError(
             f"exhaustive sweep over {fr!r} with {len(names)} atoms exceeds budget"
         )
-    chunks = (_valuation_chunks(fr, names) if exhaustive
-              else _sample_chunks(fr, names, count, seed))
+    chunks = (_valuation_chunks(fr, names, len(prog)) if exhaustive
+              else _sample_chunks(fr, names, count, seed, len(prog)))
     checked, wit = _sweep(fr, f, prog, chunks)
-    return ValidityResult(wit is None, exhaustive, checked, wit)
+    return FrameCheck(fr.n, "exhaustive" if exhaustive else "sample", wit is None,
+                      checked, wit)
 
 
 def refute(f: Formula, max_n: int, strategy: str = "auto", *,

@@ -44,9 +44,10 @@ from .formula import (
     render,
 )
 from .ipc import classical_countermodel
-from .kpform import FrameCheck, kp_normalize
+from .kpform import kp_normalize
 from .medvedev import (
     DEFAULT_VALUATION_BUDGET,
+    FrameCheck,
     PMorphism,
     RefutationWitness,
     Valuation,
@@ -218,7 +219,7 @@ def admissibility_witness(premise: Formula, conclusion: Formula, max_n: int = 3,
                 f"premise image unexpectedly refuted on M_{n2}; "
                 "the substitution construction is broken"
             )
-        evidence.append(FrameCheck.of(n2, res))
+        evidence.append(res)
 
     return AdmissibilityWitness(
         premise=premise,

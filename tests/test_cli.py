@@ -1,5 +1,6 @@
 """End-to-end command behaviour: exit codes, goldens, and determinism."""
 
+import hashlib
 import json
 import random
 
@@ -172,6 +173,25 @@ def test_refute_exit_codes(capsys):
     code, out, _ = run(capsys, "refute", "p -> p", "--max-n", "2")
     assert code == 2
     assert "no refutation" in out
+
+
+@pytest.mark.parametrize("argv, digest, n, bits", [
+    (["check", "p | q | r | s", "--n", "5", "--mode", "sample", "--count", "300",
+      "--seed", "3"],
+     "0de553aaef9d5f78be9dd2a4c4acc0a3251c86b82eb828f211435a413d9c7caa", 5,
+     {"p": 0x19ffffff, "q": 0x3fffffff, "r": 0x1bffbbff, "s": 0x2bafafff}),
+    (["refute", "(p -> q) | (q -> p) | (r -> s)", "--strategy", "sample", "--max-n", "4",
+      "--count", "50", "--seed", "1"],
+     "7c8839f3a99f21a6060576fc3b37c2f217178ba367f0becc51f3b6e84759f2dd", 3,
+     {"p": 0x1f, "q": 0x2f, "r": 0x3b, "s": 0x3}),
+], ids=["check", "refute"])
+def test_sampled_witness_bytes(capsys, argv, digest, n, bits):
+    # the first failing seeded draw, at the bottom world; stdout pinned by sha256
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    wit = witness_from_obj(json.loads(out))
+    assert (wit.n, wit.world, wit.valuation.map) == (n, frame(n).bottom(), bits)
 
 
 @pytest.mark.parametrize("argv", [

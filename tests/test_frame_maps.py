@@ -12,7 +12,6 @@ import pytest
 from medlog.alpha import u_valuation, universal_subst
 from medlog.errors import SelfCheckError
 from medlog.formula import Imp, Neg, Or, apply_subst, render
-from medlog.kpform import FrameCheck
 from medlog.medvedev import (
     PMorphism,
     RefutationWitness,
@@ -86,7 +85,7 @@ def ref_admissibility_witness(premise, conclusion, max_n, *, validity_bound,
         res = valid_on(frame(n2), image_premise, "auto", count=count, seed=seed + n2)
         if not res.valid:
             raise SelfCheckError("premise image refuted")
-        evidence.append(FrameCheck.of(n2, res))
+        evidence.append(res)
     return AdmissibilityWitness(premise, conclusion, k, restricted, sigma, refutation,
                                 tuple(evidence))
 

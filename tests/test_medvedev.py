@@ -12,7 +12,8 @@ import pytest
 
 from medlog import medvedev
 from medlog.errors import LimitError, SelfCheckError
-from medlog.formula import And, Atom, Imp, Neg, Or, atoms, parse, render
+from medlog.formula import And, Atom, Imp, Neg, Or, atoms, iff, parse, render
+from medlog.kpform import kp_normalize
 from medlog.medvedev import (
     MedvedevFrame,
     RefutationWitness,
@@ -370,6 +371,21 @@ def test_iter_valuations_count_and_coverage():
     assert len(empty) == 1 and empty[0].map == {}
 
 
+def decode_chunks(fr, chunks):
+    """Every valuation of a chunk stream, block by block off the packed values;
+    also checks that the chunks are contiguous and hold nothing past their
+    last block."""
+    block = max(8, 1 << fr.n)
+    decoded = []
+    for start, length, atom_bits in chunks:
+        assert start == len(decoded)
+        assert all(bits >> length * block == 0 for bits in atom_bits.values())
+        decoded += [Valuation(fr, {nm: bits >> i * block & (1 << block) - 1
+                                   for nm, bits in atom_bits.items()})
+                    for i in range(length)]
+    return decoded
+
+
 @pytest.mark.parametrize("bound", [3, 7])
 def test_iter_valuations_matches_packed_sweep_decoding(monkeypatch, bound):
     # bound 3 splits an atom's range on M_2 (5 up-sets), both split it on M_3 (19)
@@ -377,10 +393,39 @@ def test_iter_valuations_matches_packed_sweep_decoding(monkeypatch, bound):
     for n in (1, 2, 3):
         fr = frame(n)
         for names in ([], ["p"], ["p", "q"], ["p", "q", "r"]):
-            decoded = [at(offset)
-                       for _, length, _, at in medvedev._valuation_chunks(fr, names)
-                       for offset in range(length)]
+            decoded = decode_chunks(fr, medvedev._valuation_chunks(fr, names, 1))
             assert list(iter_valuations(fr, names)) == decoded, (n, names)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sample_valuation_draws_match_packed_sample_decoding(n):
+    fr = frame(n)
+    for names in ([], ["p"], ["p", "q"], ["p", "q", "r"]):
+        for count in (0, 1, 2, 3, 7, 300, 1000):
+            for seed in (0, 11):
+                rng = random.Random(seed)
+                draws = [sample_valuation(fr, names, rng) for _ in range(count)]
+                chunks = list(medvedev._sample_chunks(fr, names, count, seed, 1))
+                assert decode_chunks(fr, chunks) == draws, (names, count, seed)
+    if n == 8:  # chunks double up to the cap, 65536 // 255 = 257 draws
+        assert [length for _, length, _ in chunks] == [1 << i for i in range(9)] + [257, 232]
+
+
+def test_packed_up_matches_close_up_per_block():
+    rng = random.Random(73)
+    for n in range(1, 9):
+        fr = frame(n)
+        block = max(8, 1 << n)
+        for k in (1, 2, 7, 20):
+            raw = [rng.getrandbits(fr.world_count) for _ in range(k)]
+            packed = medvedev._up(sum(b << i * block for i, b in enumerate(raw)),
+                                  medvedev._layout(n, k)[1])
+            for i, b in enumerate(raw):
+                cones = 0
+                for w in upset_worlds(b):
+                    cones |= fr.up_bits(w)
+                assert packed >> i * block & (1 << block) - 1 == close_up(fr, b) == cones
+            assert packed >> k * block == 0
 
 
 def test_witness_self_check_rejects_forced_world():
@@ -449,15 +494,14 @@ def test_exhaustive_sweep_matches_per_valuation_loop(n):
     assert outcomes == {True, False}
 
 
-def test_sweep_chunks_split_an_atom_with_more_upsets_than_the_bound(monkeypatch):
-    monkeypatch.setattr(medvedev, "_CHUNK_VALUATIONS", 7)
+def test_sweep_chunks_split_an_atom_with_more_upsets_than_the_bound():
     # M_3 has 19 up-sets: one atom's range is split 7 + 7 + 5
-    assert list(medvedev._chunks(19, 1)) == [(0, 7), (7, 7), (14, 5)]
+    assert list(medvedev._chunks(19, 1, 7)) == [(0, 7), (7, 7), (14, 5)]
     # the outer atom is fixed per chunk, the inner one split as above
-    assert list(medvedev._chunks(19, 2))[3:6] == [(19, 7), (26, 7), (33, 5)]
+    assert list(medvedev._chunks(19, 2, 7))[3:6] == [(19, 7), (26, 7), (33, 5)]
     # M_2 has 5: a whole atom fits, and the next one out takes one up-set per chunk
-    assert list(medvedev._chunks(5, 2))[:2] == [(0, 5), (5, 5)]
-    assert list(medvedev._chunks(5, 0)) == [(0, 1)]
+    assert list(medvedev._chunks(5, 2, 7))[:2] == [(0, 5), (5, 5)]
+    assert list(medvedev._chunks(5, 0, 7)) == [(0, 1)]
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 7, 19, 20, 40, 400])
@@ -473,7 +517,7 @@ def test_exhaustive_sweep_small_chunks_match_per_valuation_loop(monkeypatch, bou
             assert got == reference_sweep(fr, f), (n, render(f))
             if not got[0]:
                 index = got[1] - 1
-                chunks = medvedev._chunks(UPSET_COUNTS[n], len(atoms(f)))
+                chunks = medvedev._chunks(UPSET_COUNTS[n], len(atoms(f)), bound)
                 start, length = next((s, k) for s, k in chunks if index < s + k)
                 at_start += 0 < start == index
                 at_end += 1 < length == index - start + 1
@@ -519,6 +563,44 @@ def test_sampling_matches_per_sample_loop(n):
                 refuted_at.add(res.checked)
     # chunk k holds draws 2**k .. 2**(k+1) - 1: refutations in chunks 0 to 3 at least
     assert {c.bit_length() for c in refuted_at} >= {1, 2, 3, 4}
+
+
+# --- the bit cap on a chunk -------------------------------------------------
+
+def spy_run_program(monkeypatch):
+    """Record (count, bits held) of every ``run_program`` call, which keeps
+    one packed value of ``count`` blocks per instruction."""
+    real, seen = medvedev.run_program, []
+
+    def spy(fr, prog, atom_bits, count=1):
+        seen.append((count, len(prog) * count * max(8, 1 << fr.n)))
+        return real(fr, prog, atom_bits, count)
+    monkeypatch.setattr(medvedev, "run_program", spy)
+    return seen
+
+
+def test_long_program_sweep_stays_under_the_chunk_bit_cap(monkeypatch):
+    # 16,447 instructions over 14 atoms: the 16,384 valuations of M_1 in one
+    # chunk would hold 2**31 bits
+    f = parse("(" + " | ".join(f"~p{i}" for i in range(12)) + ") -> (~q | ~r)")
+    both = iff(f, kp_normalize(f).to_formula())
+    seen = spy_run_program(monkeypatch)
+    res = valid_on(frame(1), both, "auto", budget=10**7)
+    assert (res.valid, res.exhaustive, res.checked) == (True, True, 2 ** 14)
+    assert len(seen) > 1 and all(bits <= medvedev._CHUNK_BITS for _, bits in seen)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+def test_capped_chunks_match_uncapped_sweeps(monkeypatch, mode):
+    frames = (1, 2, 3) if mode == "exhaustive" else (2, 5, 8)
+    corpus = sweep_corpus(17, 60)
+    want = [valid_on(frame(n), f, mode, count=100, seed=5) for n in frames for f in corpus]
+    monkeypatch.setattr(medvedev, "_CHUNK_BITS", 1 << 12)
+    seen = spy_run_program(monkeypatch)
+    got = [valid_on(frame(n), f, mode, count=100, seed=5) for n in frames for f in corpus]
+    assert got == want
+    assert all(count == 1 or bits <= 1 << 12 for count, bits in seen)
+    assert {res.valid for res in got} == {True, False}
 
 
 def test_packed_run_program_matches_single_calls():
