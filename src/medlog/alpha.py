@@ -28,12 +28,14 @@ from .formula import (
     Formula,
     Neg,
     Substitution,
+    _dag,
     apply_subst,
     big_and,
     big_or,
 )
 from .medvedev import (
     Valuation,
+    _run,
     frame,
     gens,
     truth_set,
@@ -184,17 +186,17 @@ class TransferReport:
 
 def verify_lemma(n: int, v: Valuation, test_formulas: Sequence[Formula]) -> TransferReport:
     """Compare each formula's truth set under ``v`` with its substitution
-    image's truth set under the universal valuation, world by world."""
+    image's truth set under the universal valuation, world by world.  The
+    formulas form one program and their images another, each run once."""
     fr = frame(n)
     sigma = universal_subst(n, v)
     u = u_valuation(n)
+    _, prog, _, at = _dag(*test_formulas)
+    left = _run(fr, prog, v.map)
+    _, image_prog, _, image_at = _dag(*[apply_subst(sigma, f) for f in test_formulas])
+    right = _run(fr, image_prog, u.valuation.map)
     cases = []
-    for f in test_formulas:
-        left = truth_set(fr, v, f)
-        right = truth_set(fr, u.valuation, apply_subst(sigma, f))
-        if left == right:
-            cases.append(TransferCase(f, True, None))
-        else:
-            diff = left ^ right
-            cases.append(TransferCase(f, False, (diff & -diff).bit_length()))
+    for f, i, j in zip(test_formulas, at, image_at):
+        diff = left[i] ^ right[j]
+        cases.append(TransferCase(f, not diff, (diff & -diff).bit_length() or None))
     return TransferReport(tuple(cases))

@@ -205,54 +205,60 @@ _ATOM, _CONST, _AND, _OR, _NEG, _IMP = range(6)
 _BINARY = {And: _AND, Or: _OR, Imp: _IMP}
 
 
-def _dag(f: Formula) -> tuple[list[Formula], list[tuple]]:
-    """Structurally distinct subformulas of ``f``, children before parents and
-    left before right, with the forcing instruction of each.
+def _dag(*roots: Formula) -> tuple[list[Formula], list[tuple], dict[tuple, int], list[int]]:
+    """One table of the structurally distinct subformulas of ``roots``,
+    children before parents, left before right and root after root, with the
+    forcing instruction of each: ``(nodes, prog, index, at)``, where ``index``
+    maps an instruction to its position and ``at`` lists each root's position.
+    For one root the root comes last.
 
     The walk keeps its own stack and hashes no formula: a node's instruction
     is also its key, and objects map to positions by ``id``, which is safe
-    because ``f`` keeps every node alive for the call.
+    because the roots keep every node alive for the call.
     """
     nodes: list[Formula] = []
     prog: list[tuple] = []
     index: dict[tuple, int] = {}
     pos: dict[int, int] = {}
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if id(g) in pos:
-            stack.pop()
-            continue
-        t = type(g)
-        op = _BINARY.get(t)
-        if op is not None:
-            a, b = pos.get(id(g.lhs)), pos.get(id(g.rhs))
-            if a is None or b is None:
-                if b is None:
-                    stack.append(g.rhs)
+    at: list[int] = []
+    for f in roots:
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if id(g) in pos:
+                stack.pop()
+                continue
+            t = type(g)
+            op = _BINARY.get(t)
+            if op is not None:
+                a, b = pos.get(id(g.lhs)), pos.get(id(g.rhs))
+                if a is None or b is None:
+                    if b is None:
+                        stack.append(g.rhs)
+                    if a is None:
+                        stack.append(g.lhs)
+                    continue
+                ins = (op, a, b)
+            elif t is Neg:
+                a = pos.get(id(g.body))
                 if a is None:
-                    stack.append(g.lhs)
-                continue
-            ins = (op, a, b)
-        elif t is Neg:
-            a = pos.get(id(g.body))
-            if a is None:
-                stack.append(g.body)
-                continue
-            ins = (_NEG, a, 0)
-        elif t is Atom:
-            ins = (_ATOM, g.name, 0)
-        elif t is Bot or t is Top:
-            ins = (_CONST, int(t is Top), 0)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        stack.pop()
-        i = index.setdefault(ins, len(nodes))
-        if i == len(nodes):
-            nodes.append(g)
-            prog.append(ins)
-        pos[id(g)] = i
-    return nodes, prog
+                    stack.append(g.body)
+                    continue
+                ins = (_NEG, a, 0)
+            elif t is Atom:
+                ins = (_ATOM, g.name, 0)
+            elif t is Bot or t is Top:
+                ins = (_CONST, int(t is Top), 0)
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            stack.pop()
+            i = index.setdefault(ins, len(nodes))
+            if i == len(nodes):
+                nodes.append(g)
+                prog.append(ins)
+            pos[id(g)] = i
+        at.append(pos[id(f)])
+    return nodes, prog, index, at
 
 
 def _program_atoms(prog: list[tuple]) -> list[str]:
@@ -316,7 +322,7 @@ class Substitution:
 
 
 def apply_subst(s: Substitution, f: Formula) -> Formula:
-    nodes, prog = _dag(f)
+    nodes, prog = _dag(f)[:2]
     out: list[Formula] = []
     for g, (op, a, b) in zip(nodes, prog):
         if op == _ATOM:

@@ -280,11 +280,10 @@ def compile_formula(f: Formula) -> list[tuple]:
     return last[1]
 
 
-def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, UpSet],
-                count: int = 1) -> int:
-    """Worlds forcing the last instruction of ``prog`` under ``count`` packed
-    valuations; ``atom_bits`` holds each atom's packed world sets.  With
-    ``count == 1`` atoms and result are plain world bitsets."""
+def _run(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, UpSet],
+         count: int = 1) -> list[int]:
+    """The worlds forcing each instruction of ``prog``, by position, under
+    ``count`` packed valuations, as ``run_program`` describes."""
     all_w, steps = _layout(fr.n, count)
     out: list[int] = []
     for op, a, b in prog:
@@ -304,7 +303,15 @@ def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, Up
         else:
             v = all_w if a else 0
         out.append(v)
-    return out[-1]
+    return out
+
+
+def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, UpSet],
+                count: int = 1) -> int:
+    """Worlds forcing the last instruction of ``prog`` under ``count`` packed
+    valuations; ``atom_bits`` holds each atom's packed world sets.  With
+    ``count == 1`` atoms and result are plain world bitsets."""
+    return _run(fr, prog, atom_bits, count)[-1]
 
 
 def truth_set(fr: MedvedevFrame, val: Valuation, f: Formula) -> int:

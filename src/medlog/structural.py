@@ -40,6 +40,7 @@ from .formula import (
     Imp,
     Neg,
     Substitution,
+    _dag,
     apply_subst,
     render,
 )
@@ -51,17 +52,17 @@ from .medvedev import (
     PMorphism,
     RefutationWitness,
     Valuation,
+    _run,
     compile_formula,
     frame,
     gens,
     generated_subframe,
     refute,
     run_program,
-    truth_set,
     upset_worlds,
     valid_on,
 )
-from .randgen import random_formula
+from .randgen import _draw
 
 # --- decomposition ------------------------------------------------------------
 
@@ -289,8 +290,9 @@ def alpha_pmorphism(m: int, n: int, w: Valuation) -> PMorphism:
     if w.frame.n != m:
         raise ValueError(f"valuation lives on {w.frame!r}, not M_{m}")
     fam = alpha_formulas(n)
-    fr_m = frame(m)
-    member_ts = [truth_set(fr_m, w, a) for a in fam.formulas]
+    _, prog, _, at = _dag(*fam.formulas)
+    ts = _run(frame(m), prog, w.map)
+    member_ts = [ts[i] for i in at]
     point_map = {}
     for i in range(1, m + 1):
         bit = 1 << ((1 << (i - 1)) - 1)
@@ -307,25 +309,42 @@ def alpha_pmorphism(m: int, n: int, w: Valuation) -> PMorphism:
     return pm
 
 
-def _transfer_case(pm: PMorphism, f: Formula, source: Valuation,
-                   target: Valuation) -> TransferCase:
-    """Compare ``x`` forcing ``f`` under ``source`` with ``pm.apply(x)``
-    forcing it under ``target``, reporting the least world where they differ."""
-    prog = compile_formula(f)
-    ts_source = run_program(frame(pm.m), prog, source.map)
-    ts_target = run_program(frame(pm.n), prog, target.map)
-    diff = ts_source ^ pm.pullback(ts_target)
-    return TransferCase(f, not diff, (diff & -diff).bit_length() or None)
+def _check_frames(pm: PMorphism, u: UniversalValuation, w: Valuation) -> None:
+    if w.frame.n != pm.m:
+        raise ValueError(f"valuation lives on {w.frame!r}, not M_{pm.m}")
+    if u.n != pm.n:
+        raise ValueError(f"universal valuation is for M_{u.n}, not M_{pm.n}")
+
+
+def _transfer(pm: PMorphism, formulas: Sequence[Formula], prog: list[tuple],
+              at: Sequence[int], source: Mapping[str, int],
+              target: Mapping[str, int]) -> TransferReport:
+    """Compare ``x`` forcing each formula under ``source`` with ``pm.apply(x)``
+    forcing it under ``target``, reporting the least world where they differ;
+    formula ``i`` sits at ``at[i]`` of ``prog``, which runs once per frame."""
+    ts_source = _run(frame(pm.m), prog, source)
+    ts_target = _run(frame(pm.n), prog, target)
+    pulled: dict[int, int] = {}
+    cases = []
+    for f, i in zip(formulas, at):
+        back = pulled.get(ts_target[i])
+        if back is None:
+            back = pulled[ts_target[i]] = pm.pullback(ts_target[i])
+        diff = ts_source[i] ^ back
+        cases.append(TransferCase(f, not diff, (diff & -diff).bit_length() or None))
+    return TransferReport(tuple(cases))
 
 
 def check_alpha_transfer(pm: PMorphism, u: UniversalValuation,
                          w: Valuation) -> TransferReport:
     """The membership transfer: ``f(x)`` lands in the truth set of
     ``alpha_I`` under the universal valuation exactly when ``x`` is in its
-    truth set under ``w``, for every index set ``I``."""
-    return TransferReport(tuple(
-        _transfer_case(pm, alpha_I(u.family, gens(mask)), w, u.valuation)
-        for mask in frame(u.n).worlds()))
+    truth set under ``w``, for every index set ``I``.  ``w`` must live on
+    ``M_{pm.m}`` and ``u`` on ``M_{pm.n}`` (``ValueError`` otherwise)."""
+    _check_frames(pm, u, w)
+    formulas = [alpha_I(u.family, gens(mask)) for mask in frame(u.n).worlds()]
+    _, prog, _, at = _dag(*formulas)
+    return _transfer(pm, formulas, prog, at, w.map, u.valuation.map)
 
 
 def transfer_check(pm: PMorphism, sigma: Substitution, u: UniversalValuation,
@@ -336,22 +355,30 @@ def transfer_check(pm: PMorphism, sigma: Substitution, u: UniversalValuation,
     ``f(x)`` forces it under the universal valuation.
 
     Defaults probe the atoms of ``sigma``'s domain, the constants, and
-    ``count`` seeded random formulas of depth 4.  Image truth sets are
-    evaluated compositionally: each atom's image is evaluated once per side
-    and the test formula is then run over those truth sets, which agrees
-    with evaluating ``apply_subst(sigma, chi)`` directly.
+    ``count`` seeded random formulas of depth 4; a negative ``count``, a
+    ``w`` off ``M_{pm.m}`` or a ``u`` off ``M_{pm.n}`` is a ``ValueError``.
+    Image truth sets are evaluated compositionally, which agrees with
+    evaluating ``apply_subst(sigma, chi)`` directly: the atoms' images form
+    one program and the test formulas another, each run once per side, the
+    test formulas over the images' truth sets.  The random formulas are drawn
+    straight into the program that holds the atoms and constants, so none is
+    walked again, and each distinct target truth set is pulled back once.
     """
+    if count < 0:
+        raise ValueError(f"test formula count must be non-negative, got {count}")
+    _check_frames(pm, u, w)
     domain = sorted(sigma.mapping)
+    _, images, _, at = _dag(*[sigma.lookup(p) for p in domain])
+    ts_w = _run(frame(pm.m), images, w.map)
+    ts_u = _run(frame(pm.n), images, u.valuation.map)
+    side_w = {p: ts_w[i] for p, i in zip(domain, at)}
+    side_u = {p: ts_u[i] for p, i in zip(domain, at)}
+
     if test_formulas is None:
         rng = random.Random(seed)
-        test_formulas = ([Atom(p) for p in domain] + [TOP, BOT]
-                         + [random_formula(rng, domain, 4) for _ in range(count)])
-
-    fr_m, fr_n = frame(pm.m), frame(pm.n)
-    images = {p: compile_formula(sigma.lookup(p)) for p in domain}
-    side_u = Valuation(fr_n, {p: run_program(fr_n, prog, u.valuation.map)
-                              for p, prog in images.items()})
-    side_w = Valuation(fr_m, {p: run_program(fr_m, prog, w.map)
-                              for p, prog in images.items()})
-    return TransferReport(tuple(_transfer_case(pm, chi, side_w, side_u)
-                                for chi in test_formulas))
+        nodes, prog, index, at = _dag(*[Atom(p) for p in domain], TOP, BOT)
+        at += [_draw(rng, domain, 4, nodes, prog, index) for _ in range(count)]
+        test_formulas = [nodes[i] for i in at]
+    else:
+        _, prog, _, at = _dag(*test_formulas)
+    return _transfer(pm, test_formulas, prog, at, side_w, side_u)

@@ -9,9 +9,9 @@ import random
 
 import pytest
 
-from medlog.alpha import u_valuation, universal_subst
+from medlog.alpha import UniversalValuation, alpha_formulas, u_valuation, universal_subst
 from medlog.errors import SelfCheckError
-from medlog.formula import Imp, Neg, Or, apply_subst, render
+from medlog.formula import Atom, Imp, Neg, Or, Substitution, apply_subst, render
 from medlog.medvedev import (
     PMorphism,
     RefutationWitness,
@@ -33,9 +33,9 @@ from medlog.medvedev import (
 from medlog.randgen import random_formula
 from medlog.structural import (
     AdmissibilityWitness,
-    _transfer_case,
     admissibility_witness,
     check_pmorphism,
+    transfer_check,
 )
 
 # --- references ------------------------------------------------------------
@@ -153,7 +153,11 @@ def test_dp_countermodel_matches_the_per_world_embedding():
 
 
 def test_transfer_case_matches_the_per_world_loop():
+    """One explicit formula through ``transfer_check`` with the identity
+    substitution: its case compares ``f`` under ``source`` with ``f`` under
+    ``target`` along the map."""
     rng = random.Random(97)
+    identity = Substitution({"p": Atom("p"), "q": Atom("q")})
     failed = held = 0
     for _ in range(300):
         m, n = rng.randrange(1, 5), rng.randrange(1, 5)
@@ -168,7 +172,8 @@ def test_transfer_case_matches_the_per_world_loop():
         else:
             source = sample_valuation(frame(m), ["p", "q"], rng)
         f = random_formula(rng, ["p", "q"], rng.randrange(1, 5))
-        case = _transfer_case(pm, f, source, target)
+        u = UniversalValuation(n, alpha_formulas(n), target)
+        (case,) = transfer_check(pm, identity, u, source, [f]).cases
         want = ref_transfer_case(pm, f, source, target)
         assert (case.ok, case.world) == want, (pm, render(f))
         failed += not case.ok

@@ -195,7 +195,7 @@ def test_budget_error_on_tiny_budget():
 # --- differential reference: the recursive prover on desugared formulas ------
 
 def _ref_desugar(f):
-    nodes, prog = _dag(f)
+    nodes, prog = _dag(f)[:2]
     out = []
     for g, (_, a, b) in zip(nodes, prog):
         if type(g) is Neg:

@@ -369,3 +369,29 @@ def test_transfer_check_explicit_formulas():
                             test_formulas=[parse("p"), parse("~p"), parse("p -> p")])
     assert report.ok
     assert [render(c.formula) for c in report.cases] == ["p", "~p", "p -> p"]
+
+
+def test_transfer_checks_reject_valuations_on_the_wrong_frame():
+    pm = alpha_pmorphism(3, 2, pullback_valuation(3, 2, {1: 1, 2: 2, 3: 1}))
+    on_m2 = pullback_valuation(2, 2, {1: 1, 2: 2})
+    sigma = universal_subst(2, valuation(frame(2), {"p": [world(1)]}))
+    with pytest.raises(ValueError, match="lives on M_2, not M_3"):
+        check_alpha_transfer(pm, u_valuation(2), on_m2)
+    with pytest.raises(ValueError, match="lives on M_2, not M_3"):
+        transfer_check(pm, sigma, u_valuation(2), on_m2)
+    w = pullback_valuation(3, 2, {1: 1, 2: 2, 3: 1})
+    with pytest.raises(ValueError, match="is for M_3, not M_2"):
+        check_alpha_transfer(pm, u_valuation(3), w)
+    with pytest.raises(ValueError, match="is for M_3, not M_2"):
+        transfer_check(pm, universal_subst(3, valuation(frame(3), {"p": [world(1)]})),
+                       u_valuation(3), w)
+    assert check_alpha_transfer(pm, u_valuation(2), w).ok
+
+
+def test_transfer_check_rejects_a_negative_count():
+    w = pullback_valuation(2, 2, {1: 2, 2: 2})
+    pm = alpha_pmorphism(2, 2, w)
+    sigma = universal_subst(2, valuation(frame(2), {"p": [world(1)]}))
+    with pytest.raises(ValueError, match="non-negative, got -5"):
+        transfer_check(pm, sigma, u_valuation(2), w, count=-5)
+    assert len(transfer_check(pm, sigma, u_valuation(2), w, count=0).cases) == 3
