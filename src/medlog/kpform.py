@@ -205,10 +205,11 @@ def verify_normal_form(f: Formula, nd: NegDisjunction, bound: int = 3, *,
     """
     frame(bound)
     both = iff(f, nd.to_formula())
-    # a sweep costs valuations * world_count, and max_exhaustive caps valuations
-    checks = tuple(valid_on(frame(n), both, "auto", count=sample_count, seed=seed + n,
-                            budget=max_exhaustive * frame(n).world_count)
-                   for n in range(1, bound + 1))
+    # a sweep costs valuations * world_count, and max_exhaustive caps valuations;
+    # largest frame first, as a valid exhaustive sweep settles the smaller ones
+    checks = tuple([valid_on(frame(n), both, "auto", count=sample_count, seed=seed + n,
+                             budget=max_exhaustive * frame(n).world_count)
+                    for n in range(bound, 0, -1)][::-1])
 
     skeleton_types = {type(g) for g in _skeleton(f)}
     needs_weak_kp = Imp in skeleton_types

@@ -15,9 +15,11 @@ under non-empty submasks.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import LimitError, SelfCheckError, UnknownAtomError
@@ -413,12 +415,110 @@ def exhaustive_cost(fr: MedvedevFrame, atom_count: int) -> int | None:
     return count**atom_count * fr.world_count
 
 
+# --- symmetry ------------------------------------------------------------------
+#
+# Permuting the generators is an automorphism of ``M_n``, and forcing commutes
+# with it, so a valuation fails exactly when each of its images fails.  Up-set
+# indices follow the integer order of the up-sets, so ``iter_valuations``
+# order is the lexicographic order on tuples of indices, and the first failing
+# valuation is the least of its orbit, its lex-leader (Crawford, Ginsberg,
+# Luks & Roy, KR 1996).  An exhaustive sweep therefore evaluates the
+# lex-leaders only.  They are generated orderly (McKay, J. Algorithms 26,
+# 1998): an atom's up-set is the least of its orbit under the permutations
+# that fix the up-sets of the atoms before it, and once no permutation but the
+# identity fixes them, every choice for the remaining atoms is a leader.
+
+# the largest frame whose permutations are tabulated: M_6 would need 720
+# tables over 7.8 M up-sets, so its sweeps run unreduced
+_MAX_SYMMETRY_N = 5
+
+
+def _swap_table(n: int, i: int) -> tuple[int, ...]:
+    """Up-set indices of ``M_n`` under swapping generators ``i`` and
+    ``i + 1`` (0-based): a world holding just one of the two moves up or
+    down by ``2**i`` masks."""
+    ups = _upset_list(n)
+    index = {bits: j for j, bits in enumerate(ups)}
+    lo, hi = 1 << i, 2 << i
+    rise = fall = 0  # worlds, by bit ``mask - 1``, holding only i / only i + 1
+    for m in range(1, 1 << n):
+        if m & (lo | hi) == lo:
+            rise |= 1 << (m - 1)
+        elif m & (lo | hi) == hi:
+            fall |= 1 << (m - 1)
+    stay = ~(rise | fall)
+    return tuple(index[b & stay | (b & rise) << lo | (b & fall) >> lo] for b in ups)
+
+
+@lru_cache(maxsize=8)
+def _perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every generator permutation of ``M_n`` but the identity, as a table of
+    up-set indices, built from the adjacent transpositions; none when ``n`` is
+    1 or past ``_MAX_SYMMETRY_N``."""
+    if n > _MAX_SYMMETRY_N:
+        return ()
+    swaps = [_swap_table(n, i) for i in range(n - 1)]
+    identity = tuple(range(len(_upset_list(n))))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [t for t in {itemgetter(*s)(g) for g in frontier for s in swaps}
+                    if t not in seen]
+        seen.update(frontier)
+    seen.remove(identity)
+    return tuple(sorted(seen))
+
+
+@lru_cache(maxsize=256)
+def _orbit_minima(n: int, group: tuple[int, ...], last: bool) -> tuple[tuple, ...]:
+    """The up-set indices of ``M_n`` least in their orbits under ``group``
+    (positions in ``_perm_tables(n)``), as runs ``(lo, hi, stabilizer)``: a
+    minimum fixed by some permutation of ``group`` stands alone with the
+    positions of those, and consecutive minima fixed by none share a run with
+    an empty stabilizer.  For the ``last`` atom stabilizers do not matter and
+    every run is maximal."""
+    tables = _perm_tables(n)
+    images = [tables[g] for g in group]
+    runs: list[tuple] = []
+    for c, low in enumerate(map(min, zip(range(len(_upset_list(n))), *images))):
+        if low == c:
+            fixers = () if last else tuple(g for g in group if tables[g][c] == c)
+            if not fixers and runs and runs[-1][1] == c and not runs[-1][2]:
+                runs[-1] = (runs[-1][0], c + 1, ())
+            else:
+                runs.append((c, c + 1, fixers))
+    return tuple(runs)
+
+
+def _leader_pieces(n: int, k: int) -> Iterator[tuple[int, int, int]]:
+    """The lex-leaders of ``k`` atoms on ``M_n``, ascending, as aligned pieces
+    ``(start, count, size)`` of the valuation axis: ``count`` consecutive
+    blocks of ``size`` valuations, ``size`` a power of the up-set count, all
+    inside one block of the next power."""
+    u = len(_upset_list(n))
+    tables = _perm_tables(n)
+    if not (k and tables):
+        yield 0, 1, u**k
+        return
+
+    def walk(base: int, depth: int, group: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
+        size = u ** (k - depth - 1)
+        for lo, hi, fixers in _orbit_minima(n, group, depth + 1 == k):
+            if fixers:
+                yield from walk(base + lo * size, depth + 1, fixers)
+            else:
+                yield base + lo * size, hi - lo, size
+
+    yield from walk(0, 0, tuple(range(len(tables))))
+
+
 # --- sweeps -------------------------------------------------------------------
 #
 # A sweep evaluates a chunk of valuations, (start, length, packed value of each
 # atom), in one ``run_program`` call.  The lowest failing bit of a chunk names
 # its first failing valuation, whose block of each atom's value is the witness,
-# and, within that block, the failing world of smallest mask.
+# and, within that block, the failing world of smallest mask.  An exhaustive
+# sweep counts the valuations its leaders cover: all of them, or those up to
+# the witness in enumeration order.
 
 # Valuations per chunk of an exhaustive sweep; bounds the width of every packed
 # value, hence the memory of a sweep on M_4 and beyond.
@@ -433,53 +533,123 @@ def _chunk_cap(fr: MedvedevFrame, instructions: int, valuations: int) -> int:
     return max(1, min(valuations, _CHUNK_BITS // (instructions * _block_bits(fr.n))))
 
 
-def _chunks(u: int, atom_count: int, cap: int) -> Iterator[tuple[int, int]]:
-    """(start, length) of each chunk of the valuation axis, in order.
+def _chunks(pieces: Iterable[tuple[int, int, int]], u: int, cap: int,
+            grow: bool = False) -> Iterator[list[tuple[int, int]]]:
+    """Aligned pieces ``(start, count, size)`` over ``u`` up-sets regrouped
+    into chunks of ``cap`` valuations, the last one possibly fewer, each a
+    list of aligned runs ``(start, length)``; with ``grow`` the chunks hold
+    1, 2, 4, … valuations up to ``cap``.  A chunk fills up across piece and
+    atom boundaries: a block too big for the room left is split into its
+    ``u`` blocks of the next size down."""
+    chunk: list[tuple[int, int]] = []
+    room = full = 1 if grow else cap
+    for piece in pieces:
+        todo = [piece]
+        while todo:
+            start, count, size = todo.pop()
+            take = min(count, room // size)
+            if take:
+                chunk.append((start, take * size))
+                room -= take * size
+                start += take * size
+                count -= take
+            if not room:
+                yield chunk
+                full = min(2 * full, cap)
+                chunk, room = [], full
+            if count and size <= room:
+                todo.append((start, count, size))
+            elif count:
+                if count > 1:
+                    todo.append((start + size, count - 1, size))
+                todo.append((start, u, size // u))
+    if chunk:
+        yield chunk
 
-    A chunk holds all combinations of the innermost atoms that fit under
-    ``cap`` valuations together, times a range of up-sets of the next atom
-    out, whose up-sets are split across chunks; the outer atoms are fixed.
-    """
-    inner, fitted = 1, 0
-    while fitted < atom_count and inner * u <= cap:
-        inner *= u
-        fitted += 1
-    if fitted == atom_count:
-        yield 0, inner
-        return
-    piece = cap // inner
-    for base in range(0, u ** (atom_count - fitted), u):
-        for first in range(0, u, piece):
-            yield (base + first) * inner, min(piece, u - first) * inner
+
+@lru_cache(maxsize=8)
+def _upset_bytes(n: int) -> tuple[bytes, ...]:
+    size = _block_bits(n) // 8
+    return tuple(bits.to_bytes(size, "little") for bits in _upset_list(n))
 
 
 @lru_cache(maxsize=16)
-def _upset_runs(n: int, first: int, count: int, run: int, reps: int) -> int:
-    """Up-sets ``first .. first+count-1`` of ``M_n``, packed, each over ``run``
-    consecutive valuations, the whole repeated ``reps`` times."""
-    ups = _upset_list(n)
-    size = _block_bits(n) // 8
-    blocks = b"".join(ups[j].to_bytes(size, "little") * run
-                      for j in range(first, first + count))
-    return int.from_bytes(blocks * reps, "little")
+def _period(n: int, stride: int) -> bytes:
+    """Every up-set of ``M_n`` in order, each over ``stride`` valuations."""
+    return b"".join([b * stride for b in _upset_bytes(n)])
 
 
-def _valuation_chunks(fr: MedvedevFrame, names: list[str],
-                      instructions: int) -> Iterator[tuple]:
-    """Every valuation over ``names`` in ``iter_valuations`` order, by chunks
-    sized for a program of ``instructions`` instructions."""
-    u = len(_upset_list(fr.n))
+def _atom_value(n: int, stride: int, runs: list[tuple[int, int]]) -> int:
+    """The packed up-sets, over the aligned ``runs`` of a chunk, of the atom
+    with ``stride`` valuations per up-set.  A run holds one up-set of the
+    atom throughout, a range of them, or whole periods; one up-set held
+    over consecutive runs is written once."""
+    ups = _upset_bytes(n)
+    u = len(ups)
+    parts = []
+    held, span = 0, 0  # the up-set held over the runs so far, and for how many
+    for start, length in runs:
+        first = start // stride % u
+        if length <= stride:
+            if first != held and span:
+                parts.append(ups[held] * span)
+                span = 0
+            held = first
+            span += length
+            continue
+        if span:
+            parts.append(ups[held] * span)
+            span = 0
+        count = length // stride
+        if count > u:
+            parts.append(_period(n, stride) * (count // u))
+        else:
+            parts.extend([b * stride for b in ups[first:first + count]])
+    if span:
+        parts.append(ups[held] * span)
+    return int.from_bytes(b"".join(parts), "little")
+
+
+def _packed_chunks(n: int, k: int, cap: int, pieces: Iterable[tuple[int, int, int]],
+                   grow: bool = False) -> Iterator[tuple]:
+    """``(start, length, values)`` per chunk of ``pieces``, cut as ``_chunks``
+    cuts them: the chunk's first position among the valuations of
+    ``pieces``, its length, and per atom, the last varying fastest, the
+    packed up-sets."""
+    u = len(_upset_list(n))
+    strides = [u ** (k - 1 - i) for i in range(k)]
+    start = 0
+    for runs in _chunks(pieces, u, cap, grow):
+        length = sum(length for _, length in runs)
+        yield start, length, [_atom_value(n, s, runs) for s in strides]
+        start += length
+
+
+@lru_cache(maxsize=32)
+def _leader_plan(n: int, k: int, cap: int) -> tuple[tuple, ...]:
+    return tuple(_packed_chunks(n, k, cap, _leader_pieces(n, k)))
+
+
+def _valuation_chunks(fr: MedvedevFrame, names: list[str], instructions: int,
+                      leaders: bool = False) -> Iterator[tuple]:
+    """Every valuation over ``names`` in ``iter_valuations`` order, or only
+    the lex-leaders, by chunks sized for a program of ``instructions``
+    instructions.  Leader chunks of sweeps within ``_CHUNK_VALUATIONS``
+    valuations are built once and kept; those of larger sweeps are built as
+    the sweep goes, in chunks that double from one valuation, so that an early
+    witness does not wait for a full chunk of scattered leaders to be packed.
+    Without symmetry the leaders are one run, which packs at once."""
+    u, k = len(_upset_list(fr.n)), len(names)
     cap = _chunk_cap(fr, instructions, _CHUNK_VALUATIONS)
-    for start, length in _chunks(u, len(names), cap):
-        atom_bits = {}
-        for i, nm in enumerate(names):
-            # ``stride`` valuations per up-set: up-set index ``v // stride % u``
-            stride = u ** (len(names) - 1 - i)
-            run = min(stride, length)  # the whole chunk when the atom is fixed in it
-            count = min(u, length // run)
-            atom_bits[nm] = _upset_runs(fr.n, start // stride % u, count, run,
-                                        length // (count * run))
-        yield start, length, atom_bits
+    if not leaders:
+        chunks = _packed_chunks(fr.n, k, cap, [(0, 1, u**k)])
+    elif u**k <= _CHUNK_VALUATIONS:
+        chunks = _leader_plan(fr.n, k, cap)
+    else:
+        chunks = _packed_chunks(fr.n, k, cap, _leader_pieces(fr.n, k),
+                                grow=bool(_perm_tables(fr.n)))
+    for start, length, values in chunks:
+        yield start, length, dict(zip(names, values))
 
 
 def _sample_chunks(fr: MedvedevFrame, names: list[str], count: int, seed: int,
@@ -523,6 +693,23 @@ def _sweep(fr: MedvedevFrame, f: Formula, prog: list[tuple],
     return checked, None
 
 
+def _covered(fr: MedvedevFrame, names: list[str], wit: RefutationWitness | None) -> int:
+    """Valuations up to and including the witness in ``iter_valuations``
+    order, or all of them without one."""
+    ups = _upset_list(fr.n)
+    if wit is None:
+        return len(ups) ** len(names)
+    index = 0
+    for nm in names:
+        index = index * len(ups) + bisect_left(ups, wit.valuation.map[nm])
+    return index + 1
+
+
+# the last program found valid by an exhaustive sweep, with the largest n
+# of such a sweep
+_settled: tuple[list[tuple], int] | None = None
+
+
 def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
              count: int = 1000, seed: int = 0,
              budget: int = DEFAULT_VALUATION_BUDGET) -> FrameCheck:
@@ -537,8 +724,14 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
     Valuations run in enumeration order (``iter_valuations``) or in the order
     sampled, deterministically in ``seed``; the witness is the first failing
     one, at its failing world of smallest mask.  Both modes evaluate chunks
-    of valuations packed into one ``run_program`` call.
+    of valuations packed into one ``run_program`` call, and an exhaustive
+    sweep evaluates only the lex-leaders, which hold that witness; its
+    ``checked`` counts the valuations covered.  A program the last
+    exhaustive sweep found valid on ``M_m`` is valid on every ``M_n`` with
+    ``n <= m``, the subframe above an ``n``-generator world, and is answered
+    without a sweep once the mode is planned.
     """
+    global _settled
     if mode not in ("exhaustive", "sample", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
     if count < 0:
@@ -551,11 +744,17 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
         raise LimitError(
             f"exhaustive sweep over {fr!r} with {len(names)} atoms exceeds budget"
         )
-    chunks = (_valuation_chunks(fr, names, len(prog)) if exhaustive
+    mode = "exhaustive" if exhaustive else "sample"
+    if _settled is not None and _settled[0] is prog and fr.n <= _settled[1]:
+        return FrameCheck(fr.n, mode, True, _covered(fr, names, None) if exhaustive else count)
+    chunks = (_valuation_chunks(fr, names, len(prog), leaders=True) if exhaustive
               else _sample_chunks(fr, names, count, seed, len(prog)))
     checked, wit = _sweep(fr, f, prog, chunks)
-    return FrameCheck(fr.n, "exhaustive" if exhaustive else "sample", wit is None,
-                      checked, wit)
+    if exhaustive:
+        checked = _covered(fr, names, wit)
+        if wit is None:
+            _settled = prog, fr.n
+    return FrameCheck(fr.n, mode, wit is None, checked, wit)
 
 
 def refute(f: Formula, max_n: int, strategy: str = "auto", *,

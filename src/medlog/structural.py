@@ -41,6 +41,7 @@ from .formula import (
     Neg,
     Substitution,
     _dag,
+    _program_atoms,
     apply_subst,
     render,
 )
@@ -211,16 +212,15 @@ def admissibility_witness(premise: Formula, conclusion: Formula, max_n: int = 3,
     )
 
     image_premise = apply_subst(sigma, premise)
-    evidence = []
-    for n2 in range(1, validity_bound + 1):
-        res = valid_on(frame(n2), image_premise, "auto", count=count, seed=seed + n2,
-                       budget=budget)
+    # largest frame first, as a valid exhaustive sweep settles the smaller ones
+    evidence = [valid_on(frame(n2), image_premise, "auto", count=count, seed=seed + n2,
+                         budget=budget) for n2 in range(validity_bound, 0, -1)][::-1]
+    for res in evidence:
         if not res.valid:
             raise SelfCheckError(
-                f"premise image unexpectedly refuted on M_{n2}; "
+                f"premise image unexpectedly refuted on M_{res.n}; "
                 "the substitution construction is broken"
             )
-        evidence.append(res)
 
     return AdmissibilityWitness(
         premise=premise,
@@ -368,12 +368,6 @@ def transfer_check(pm: PMorphism, sigma: Substitution, u: UniversalValuation,
         raise ValueError(f"test formula count must be non-negative, got {count}")
     _check_frames(pm, u, w)
     domain = sorted(sigma.mapping)
-    _, images, _, at = _dag(*[sigma.lookup(p) for p in domain])
-    ts_w = _run(frame(pm.m), images, w.map)
-    ts_u = _run(frame(pm.n), images, u.valuation.map)
-    side_w = {p: ts_w[i] for p, i in zip(domain, at)}
-    side_u = {p: ts_u[i] for p, i in zip(domain, at)}
-
     if test_formulas is None:
         rng = random.Random(seed)
         nodes, prog, index, at = _dag(*[Atom(p) for p in domain], TOP, BOT)
@@ -381,4 +375,11 @@ def transfer_check(pm: PMorphism, sigma: Substitution, u: UniversalValuation,
         test_formulas = [nodes[i] for i in at]
     else:
         _, prog, _, at = _dag(*test_formulas)
+    # an atom outside the domain stands for ``sigma.lookup``'s default, as in apply_subst
+    names = sorted(set(domain).union(_program_atoms(prog)))
+    _, images, _, image_at = _dag(*[sigma.lookup(p) for p in names])
+    ts_w = _run(frame(pm.m), images, w.map)
+    ts_u = _run(frame(pm.n), images, u.valuation.map)
+    side_w = {p: ts_w[i] for p, i in zip(names, image_at)}
+    side_u = {p: ts_u[i] for p, i in zip(names, image_at)}
     return _transfer(pm, test_formulas, prog, at, side_w, side_u)

@@ -15,6 +15,7 @@ from medlog.errors import LimitError, SelfCheckError
 from medlog.formula import And, Atom, Imp, Neg, Or, atoms, iff, parse, render
 from medlog.kpform import kp_normalize
 from medlog.medvedev import (
+    FrameCheck,
     MedvedevFrame,
     RefutationWitness,
     UPSET_COUNTS,
@@ -495,13 +496,18 @@ def test_exhaustive_sweep_matches_per_valuation_loop(n):
 
 
 def test_sweep_chunks_split_an_atom_with_more_upsets_than_the_bound():
+    def chunks(u, atom_count, cap):
+        return list(medvedev._chunks([(0, 1, u**atom_count)], u, cap))
+
     # M_3 has 19 up-sets: one atom's range is split 7 + 7 + 5
-    assert list(medvedev._chunks(19, 1, 7)) == [(0, 7), (7, 7), (14, 5)]
-    # the outer atom is fixed per chunk, the inner one split as above
-    assert list(medvedev._chunks(19, 2, 7))[3:6] == [(19, 7), (26, 7), (33, 5)]
-    # M_2 has 5: a whole atom fits, and the next one out takes one up-set per chunk
-    assert list(medvedev._chunks(5, 2, 7))[:2] == [(0, 5), (5, 5)]
-    assert list(medvedev._chunks(5, 0, 7)) == [(0, 1)]
+    assert chunks(19, 1, 7) == [[(0, 7)], [(7, 7)], [(14, 5)]]
+    # a chunk fills up across the up-sets of the outer atom
+    assert chunks(19, 2, 7)[2:4] == [[(14, 5), (19, 2)], [(21, 7)]]
+    # M_2 has 5: whole blocks of the inner atom, then the next block split
+    assert chunks(5, 2, 7)[:2] == [[(0, 5), (5, 2)], [(7, 3), (10, 4)]]
+    assert chunks(5, 0, 7) == [[(0, 1)]]
+    # 2**18 valuations of M_1 under a cap of 127: every chunk but the last is full
+    assert [sum(k for _, k in runs) for runs in chunks(2, 18, 127)] == [127] * 2064 + [16]
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 7, 19, 20, 40, 400])
@@ -509,7 +515,9 @@ def test_exhaustive_sweep_small_chunks_match_per_valuation_loop(monkeypatch, bou
     # bounds below 5 (M_2) or 19 (M_3) up-sets split an atom's range
     monkeypatch.setattr(medvedev, "_CHUNK_VALUATIONS", bound)
     at_start = at_end = 0
-    extra = ["p -> q", "(q -> p) | r", "(~p -> q | r) -> (~p -> q) | (~p -> r)"]
+    # the last fails first at the second valuation of 3-atom M_3, which opens
+    # the second chunk of a sweep that builds its leader chunks as it goes
+    extra = ["p -> q", "(q -> p) | r", "(~p -> q | r) -> (~p -> q) | (~p -> r)", "p | q | ~r"]
     for f in sweep_corpus(7, 120) + [parse(text) for text in extra]:
         for n in (1, 2, 3):
             fr = frame(n)
@@ -517,10 +525,15 @@ def test_exhaustive_sweep_small_chunks_match_per_valuation_loop(monkeypatch, bou
             assert got == reference_sweep(fr, f), (n, render(f))
             if not got[0]:
                 index = got[1] - 1
-                chunks = medvedev._chunks(UPSET_COUNTS[n], len(atoms(f)), bound)
-                start, length = next((s, k) for s, k in chunks if index < s + k)
-                at_start += 0 < start == index
-                at_end += 1 < length == index - start + 1
+                # the sweep runs lex-leaders: the refutation's position among
+                # them, and the chunk of the sweep's stream that holds it
+                pos = sum(min(max(index - s, 0), count * size)
+                          for s, count, size in medvedev._leader_pieces(n, len(atoms(f))))
+                chunks = medvedev._valuation_chunks(fr, atoms(f), len(compile_formula(f)),
+                                                    leaders=True)
+                start, length, _ = next(c for c in chunks if pos < c[0] + c[1])
+                at_start += 0 < start == pos
+                at_end += 1 < length == pos - start + 1
     # some refutations open a later chunk, some close a chunk of several
     assert at_start and (at_end or bound == 1)
 
@@ -687,6 +700,148 @@ def test_refute_and_its_witness_walk_the_formula_once(monkeypatch):
     wit = refute(f, max_n=3)
     assert wit is not None and wit.n == 2
     assert walks == [f]
+
+
+# --- sweeps reduced by symmetry ------------------------------------------
+
+def outcome(res):
+    return res.valid, res.mode, res.checked, res.witness and res.witness.to_obj()
+
+
+def full_sweep(fr, f):
+    """The exhaustive sweep of every valuation in enumeration order, the
+    reference for the sweep of lex-leaders."""
+    prog = compile_formula(f)
+    chunks = medvedev._valuation_chunks(fr, atoms(f), len(prog))
+    checked, wit = medvedev._sweep(fr, f, prog, chunks)
+    return outcome(FrameCheck(fr.n, "exhaustive", wit is None, checked, wit))
+
+
+def reduced_sweep(monkeypatch, fr, f):
+    monkeypatch.setattr(medvedev, "_settled", None)  # sweep, whatever came before
+    return outcome(valid_on(fr, f, "exhaustive"))
+
+
+# theorems, a formula valid on M_2 but not on M_3 (width at most 2), and two
+# refuted late in the order
+THREE_ATOMS = [parse(text) for text in (
+    "(p -> q) -> (q -> r) -> p -> r",
+    "(~p -> q | r) -> (~p -> q) | (~p -> r)",
+    "(p -> q | r) | (q -> p | r) | (r -> p | q)",
+    "p -> ~q | q",
+    "(~(p & q) -> p) -> (q -> r | ~q) | (r -> p) | ~r",
+)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reduced_sweep_matches_full_enumeration(monkeypatch, n):
+    fr = frame(n)
+    seen = set()
+    for f in sweep_corpus(90 + n, 80) + THREE_ATOMS:
+        got = reduced_sweep(monkeypatch, fr, f)
+        assert got == full_sweep(fr, f), render(f)
+        seen.add((len(atoms(f)), got[0]))
+    assert seen >= {(0, True), (0, False), (1, True), (1, False), (2, False), (3, True)}
+    assert n == 1 or (3, False) in seen
+
+
+@pytest.mark.parametrize("bound, bits", [(3, None), (7, None), (50, None), (1 << 16, 1 << 12)])
+def test_reduced_sweep_in_small_chunks_matches_full_enumeration(monkeypatch, bound, bits):
+    monkeypatch.setattr(medvedev, "_CHUNK_VALUATIONS", bound)
+    if bits:
+        monkeypatch.setattr(medvedev, "_CHUNK_BITS", bits)
+    calls = spy_run_program(monkeypatch)
+    crossed = set()
+    for f in sweep_corpus(31, 40) + THREE_ATOMS:
+        for n in (1, 2, 3):
+            before = len(calls)
+            got = reduced_sweep(monkeypatch, frame(n), f)
+            if len(calls) - before > 1:  # the sweep ran past its first chunk
+                crossed.add(got[0])
+            assert got == full_sweep(frame(n), f), (n, bound, render(f))
+    assert crossed == {True, False}
+    assert all(count <= bound and (count == 1 or held <= medvedev._CHUNK_BITS)
+               for count, held in calls)
+
+
+def burnside(n, k):
+    """Orbits of k-tuples of up-sets of ``M_n`` under generator permutations:
+    the mean over the permutations of the tuples they fix, counted once per
+    cycle type."""
+    ups = list(enumerate_upsets(frame(n)))
+    fixed_by_type, total = {}, 0
+    for perm in itertools.permutations(range(1, n + 1)):
+        cycles, left = [], set(perm)
+        while left:
+            i, size = left.pop(), 1
+            while perm[i - 1] in left:
+                left.remove(perm[i - 1])
+                i, size = perm[i - 1], size + 1
+            cycles.append(size)
+        kind = tuple(sorted(cycles))
+        if kind not in fixed_by_type:
+            pm = medvedev.PMorphism.from_max_map(n, n, dict(enumerate(perm, 1)))
+            fixed_by_type[kind] = sum(pm.pullback(u) == u for u in ups)
+        total += fixed_by_type[kind] ** k
+    return total // len(list(itertools.permutations(range(n))))
+
+
+@pytest.mark.parametrize("n, k, orbits", [(1, 1, 2), (2, 1, 4), (3, 1, 9), (4, 1, 29),
+                                          (5, 1, 209), (3, 3, 1529), (3, 2, 106),
+                                          (2, 3, 76)])
+def test_lex_leaders_count_the_orbits(n, k, orbits):
+    leaders = sum(count * size for _, count, size in medvedev._leader_pieces(n, k))
+    assert leaders == orbits == burnside(n, k)
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (3, 2), (4, 1)])
+def test_lex_leaders_are_the_least_valuations_of_their_orbits(n, k):
+    ups = list(enumerate_upsets(frame(n)))
+    index = {u: i for i, u in enumerate(ups)}
+    maps = [medvedev.PMorphism.from_max_map(n, n, dict(enumerate(perm, 1)))
+            for perm in itertools.permutations(range(1, n + 1))]
+    least = set()
+    for pos, v in enumerate(itertools.product(range(len(ups)), repeat=k)):
+        if all(tuple(index[pm.pullback(ups[i])] for i in v) >= v for pm in maps):
+            least.add(pos)
+    got = [start + i for start, count, size in medvedev._leader_pieces(n, k)
+           for i in range(count * size)]
+    assert got == sorted(least)
+
+
+SETTLE_MODES = [("exhaustive", {}), ("sample", {"count": 37, "seed": 4}), ("auto", {}),
+                ("auto", {"budget": 10, "count": 12})]
+
+
+def test_settled_programs_match_fresh_sweeps(monkeypatch):
+    calls = spy_run_program(monkeypatch)
+
+    def fresh(fr, f, mode, **kwargs):
+        monkeypatch.setattr(medvedev, "_settled", None)
+        return valid_on(fr, f, mode, **kwargs)
+
+    theorem, width2 = THREE_ATOMS[1], THREE_ATOMS[2]
+    for f, top in ((theorem, 3), (width2, 2)):
+        cases = [(n, mode, kw) for n in (1, 3, 2) for mode, kw in SETTLE_MODES]
+        want = [fresh(frame(n), f, mode, **kw) for n, mode, kw in cases]
+        assert valid_on(frame(top), f, "exhaustive").valid  # settles M_1 .. M_top
+        for (n, mode, kw), res in zip(cases, want):
+            before = len(calls)
+            assert valid_on(frame(n), f, mode, **kw) == res, (render(f), n, mode, kw)
+            assert (len(calls) == before) == (n <= top), (render(f), n, mode, kw)
+            if mode == "sample":
+                assert res.checked == kw["count"] or not res.valid
+        # the mode is planned first: over budget stays a LimitError
+        with pytest.raises(LimitError):
+            valid_on(frame(1), f, "exhaustive", budget=1)
+    # the width-2 formula is refuted on M_3, settled or not
+    assert not [res for res in want if res.n == 3][0].valid
+    # another program in between: the memo does not answer for it, nor after it
+    other = parse("p | ~p")
+    assert outcome(valid_on(frame(2), other, "exhaustive")) == full_sweep(frame(2), other)
+    before = len(calls)
+    assert valid_on(frame(1), width2, "exhaustive") == fresh(frame(1), width2, "exhaustive")
+    assert len(calls) > before
 
 
 # --- subframes and block embeddings ------------------------------------

@@ -339,6 +339,23 @@ def test_transfer_check_on_substitution_images():
     del rng
 
 
+def test_transfer_check_reads_atoms_outside_the_domain_as_the_default(caplog):
+    # z is not in sigma's domain: apply_subst puts ~T for it, with a warning
+    w = valuation(frame(2), {"p1": [world(1)]})
+    pm = alpha_pmorphism(2, 2, w)
+    u = u_valuation(2)
+    sigma = universal_subst(2, valuation(frame(2), {"p": [world(1)]}))
+    tests = [parse(text) for text in ("p -> z", "z", "~z | p", "(z -> p) -> z")]
+    report = transfer_check(pm, sigma, u, w, tests)
+    assert "'z' is not mapped" in caplog.text
+    for chi, case in zip(tests, report.cases):
+        image = apply_subst(sigma, chi)
+        source = truth_set(frame(2), w, image)
+        target = pm.pullback(truth_set(frame(2), u.valuation, image))
+        assert case.ok == (source == target), render(chi)
+    assert report.ok
+
+
 def test_composed_valuation_matches_direct_substitution():
     # evaluating chi over per-atom image truth sets must agree with
     # evaluating the substituted formula outright
