@@ -38,6 +38,8 @@ from .ipc import ipc_provable
 from .medvedev import FrameCheck, frame, valid_on
 
 RANK_CAP = 1 << 20
+# valuations per frame up to which ``verify_normal_form`` sweeps exhaustively
+_EXHAUSTIVE_VALUATIONS = 10**7
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,8 +89,8 @@ def _skeleton(f: Formula) -> list[Formula]:
     return out
 
 
-def kp_rank(f: Formula, cap: int = RANK_CAP) -> Rank:
-    """Disjunct count of the normal form, or infinity; never wraps past ``cap``."""
+def kp_rank(f: Formula) -> Rank:
+    """Disjunct count of the normal form, or infinity; never wraps past ``RANK_CAP``."""
     rank: dict[int, int | None] = {}
     for g in _skeleton(f):
         r: int | None
@@ -99,10 +101,10 @@ def kp_rank(f: Formula, cap: int = RANK_CAP) -> Rank:
                 r = None
             case Or(a, b):
                 x, y = rank[id(a)], rank[id(b)]
-                r = None if x is None or y is None else _checked(x + y, g, cap)
+                r = None if x is None or y is None else _checked(x + y, g, RANK_CAP)
             case And(a, b):
                 x, y = rank[id(a)], rank[id(b)]
-                r = None if x is None or y is None else _checked(x * y, g, cap)
+                r = None if x is None or y is None else _checked(x * y, g, RANK_CAP)
             case Imp(a, b):
                 x, y = rank[id(a)], rank[id(b)]
                 if x is None or y is None:
@@ -112,7 +114,7 @@ def kp_rank(f: Formula, cap: int = RANK_CAP) -> Rank:
                 else:
                     r = 1
                     for _ in range(x):
-                        r = _checked(r * y, g, cap)
+                        r = _checked(r * y, g, RANK_CAP)
         rank[id(g)] = r
     return Rank(rank[id(f)])
 
@@ -130,7 +132,7 @@ class NegDisjunction:
         return len(self.bodies)
 
 
-def kp_normalize(f: Formula, cap: int = RANK_CAP) -> NegDisjunction:
+def kp_normalize(f: Formula) -> NegDisjunction:
     """Bodies of the normal form, in a fixed construction order.
 
     ``|`` concatenates, ``&`` pairs row-major via ``~x & ~y == ~(x | y)``,
@@ -151,15 +153,15 @@ def kp_normalize(f: Formula, cap: int = RANK_CAP) -> NegDisjunction:
                 out = (BOT,)
             case Or(a, b):
                 xs, ys = bodies[id(a)], bodies[id(b)]
-                _checked(len(xs) + len(ys), g, cap)
+                _checked(len(xs) + len(ys), g, RANK_CAP)
                 out = xs + ys
             case And(a, b):
                 xs, ys = bodies[id(a)], bodies[id(b)]
-                _checked(len(xs) * len(ys), g, cap)
+                _checked(len(xs) * len(ys), g, RANK_CAP)
                 out = tuple(Or(x, y) for x in xs for y in ys)
             case Imp(a, b):
                 xs, ys = bodies[id(a)], bodies[id(b)]
-                _checked(len(ys) ** len(xs), g, cap)
+                _checked(len(ys) ** len(xs), g, RANK_CAP)
                 # choices for the last antecedent body vary fastest; each body
                 # shares its tail with the bodies that agree on the later choices
                 out = tuple(And(Neg(xs[-1]), y) for y in ys)
@@ -192,23 +194,22 @@ class NormalFormReport:
 
 
 def verify_normal_form(f: Formula, nd: NegDisjunction, bound: int = 3, *,
-                       max_exhaustive: int = 10**7, sample_count: int = 1000,
                        seed: int = 0) -> NormalFormReport:
     """Check ``f`` against its claimed normal form on frames 1..bound.
 
     Frames small enough for an exhaustive sweep (valuation count at most
-    ``max_exhaustive``) are checked exhaustively, the rest with
-    ``sample_count`` seeded samples.  When the skeleton of ``f`` is free of
-    ``->`` the equivalence is already intuitionistic and is additionally
-    fed to the prover in both directions.  A ``bound`` outside the frame
+    ``_EXHAUSTIVE_VALUATIONS``) are checked exhaustively, the rest with
+    ``valid_on``'s default count of seeded samples.  When the skeleton of
+    ``f`` is free of ``->`` the equivalence is already intuitionistic and is
+    additionally fed to the prover in both directions.  A ``bound`` outside the frame
     range is a ``ValueError`` before any check runs.
     """
     frame(bound)
     both = iff(f, nd.to_formula())
-    # a sweep costs valuations * world_count, and max_exhaustive caps valuations;
-    # largest frame first, as a valid exhaustive sweep settles the smaller ones
-    checks = tuple([valid_on(frame(n), both, "auto", count=sample_count, seed=seed + n,
-                             budget=max_exhaustive * frame(n).world_count)
+    # a sweep costs valuations * world_count; largest frame first, as a valid
+    # exhaustive sweep settles the smaller ones
+    checks = tuple([valid_on(frame(n), both, "auto", seed=seed + n,
+                             budget=_EXHAUSTIVE_VALUATIONS * frame(n).world_count)
                     for n in range(bound, 0, -1)][::-1])
 
     skeleton_types = {type(g) for g in _skeleton(f)}

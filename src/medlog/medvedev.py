@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import LimitError, SelfCheckError, UnknownAtomError
 from .formula import (_AND, _ATOM, _CONST, _IMP, _NEG, _OR, Formula, Or, _dag,
-                      _program_atoms, parse, render)
+                      _program_atoms, render)
 
 World = int  # non-zero generator bitmask
 UpSet = int  # bitset over worlds, bit (mask - 1)
@@ -88,9 +88,6 @@ class MedvedevFrame:
     def bottom(self) -> World:
         return self.world_count
 
-    def is_maximal(self, w: World) -> bool:
-        return w.bit_count() == 1
-
     def up_bits(self, w: World) -> UpSet:
         """Worlds >= w: the non-empty submasks of w."""
         bits = 0
@@ -98,18 +95,6 @@ class MedvedevFrame:
         while s:
             bits |= 1 << (s - 1)
             s = (s - 1) & w
-        return bits
-
-    def down_bits(self, w: World) -> UpSet:
-        """Worlds <= w: the supersets of w."""
-        free = self.world_count & ~w  # world_count doubles as the full mask
-        bits = 0
-        s = free
-        while True:
-            bits |= 1 << ((w | s) - 1)
-            if s == 0:
-                break
-            s = (s - 1) & free
         return bits
 
 
@@ -327,11 +312,6 @@ def forces(fr: MedvedevFrame, val: Valuation, w: World, f: Formula) -> bool:
     return bool(truth_set(fr, val, f) >> (w - 1) & 1)
 
 
-def persistence_check(fr: MedvedevFrame, val: Valuation, f: Formula) -> bool:
-    """Whether the truth set of ``f`` is upward closed under ``val``."""
-    return is_upset(fr, truth_set(fr, val, f))
-
-
 # --- witnesses and validity ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -365,15 +345,6 @@ class RefutationWitness:
             "world": list(gens(self.world)),
             "formula": render(self.formula),
         }
-
-
-def witness_from_obj(obj: Mapping) -> RefutationWitness:
-    n = int(obj["n"])
-    fr = frame(n)
-    val = valuation_from_obj(fr, obj["valuation"])
-    w = world(*obj["world"])
-    f = parse(obj["formula"])
-    return RefutationWitness(n, val, w, f)
 
 
 @dataclass(frozen=True)
@@ -630,20 +601,18 @@ def _leader_plan(n: int, k: int, cap: int) -> tuple[tuple, ...]:
     return tuple(_packed_chunks(n, k, cap, _leader_pieces(n, k)))
 
 
-def _valuation_chunks(fr: MedvedevFrame, names: list[str], instructions: int,
-                      leaders: bool = False) -> Iterator[tuple]:
-    """Every valuation over ``names`` in ``iter_valuations`` order, or only
-    the lex-leaders, by chunks sized for a program of ``instructions``
-    instructions.  Leader chunks of sweeps within ``_CHUNK_VALUATIONS``
-    valuations are built once and kept; those of larger sweeps are built as
-    the sweep goes, in chunks that double from one valuation, so that an early
-    witness does not wait for a full chunk of scattered leaders to be packed.
-    Without symmetry the leaders are one run, which packs at once."""
+def _valuation_chunks(fr: MedvedevFrame, names: list[str], instructions: int) -> Iterator[tuple]:
+    """The lex-leaders of the valuations over ``names``, in ``iter_valuations``
+    order, by chunks sized for a program of ``instructions`` instructions.
+    Chunks of sweeps within ``_CHUNK_VALUATIONS`` valuations are built once and
+    kept; those of larger sweeps are built as the sweep goes, in chunks that
+    double from one valuation, so that an early witness does not wait for a
+    full chunk of scattered leaders to be packed.  Without symmetry, on ``M_1``
+    and ``M_6``, the leaders are every valuation in one run, which packs at
+    once."""
     u, k = len(_upset_list(fr.n)), len(names)
     cap = _chunk_cap(fr, instructions, _CHUNK_VALUATIONS)
-    if not leaders:
-        chunks = _packed_chunks(fr.n, k, cap, [(0, 1, u**k)])
-    elif u**k <= _CHUNK_VALUATIONS:
+    if u**k <= _CHUNK_VALUATIONS:
         chunks = _leader_plan(fr.n, k, cap)
     else:
         chunks = _packed_chunks(fr.n, k, cap, _leader_pieces(fr.n, k),
@@ -740,6 +709,8 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
     names = _program_atoms(prog)
     cost = exhaustive_cost(fr, len(names))
     exhaustive = mode != "sample" and cost is not None and cost <= budget
+    if mode == "exhaustive" and cost is None:
+        raise LimitError(f"exhaustive sweeps support n <= {MAX_EXHAUSTIVE_N}, got {fr!r}")
     if mode == "exhaustive" and not exhaustive:
         raise LimitError(
             f"exhaustive sweep over {fr!r} with {len(names)} atoms exceeds budget"
@@ -747,7 +718,7 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
     mode = "exhaustive" if exhaustive else "sample"
     if _settled is not None and _settled[0] is prog and fr.n <= _settled[1]:
         return FrameCheck(fr.n, mode, True, _covered(fr, names, None) if exhaustive else count)
-    chunks = (_valuation_chunks(fr, names, len(prog), leaders=True) if exhaustive
+    chunks = (_valuation_chunks(fr, names, len(prog)) if exhaustive
               else _sample_chunks(fr, names, count, seed, len(prog)))
     checked, wit = _sweep(fr, f, prog, chunks)
     if exhaustive:

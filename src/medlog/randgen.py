@@ -5,10 +5,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .errors import RankOverflowError
 from .formula import (_ATOM, _BINARY, _CONST, _NEG, BOT, TOP, And, Atom, Formula, Imp,
                       Neg, Or)
-from .kpform import kp_rank
 
 _CONNECTIVES = (Neg, And, Or, Imp)  # by ``rng.randrange(4)``
 
@@ -45,31 +43,3 @@ def random_formula(rng: random.Random, atom_names: Sequence[str], depth: int) ->
     a fresh table, so equal subformulas are one object."""
     nodes: list[Formula] = []
     return nodes[_draw(rng, atom_names, depth, nodes, [], {})]
-
-
-def random_finite_rank_formula(rng: random.Random, atom_names: Sequence[str],
-                               max_rank: int = 64, skeleton_depth: int = 3,
-                               body_depth: int = 3) -> Formula:
-    """Negations composed by ``|``/``&``/``->``, rejection-sampled to the rank cap."""
-
-    def skeleton(depth: int) -> Formula:
-        if depth == 0 or rng.random() < 0.4:
-            return Neg(random_formula(rng, atom_names, body_depth))
-        roll = rng.random()
-        a = skeleton(depth - 1)
-        b = skeleton(depth - 1)
-        if roll < 0.45:
-            return Or(a, b)
-        if roll < 0.8:
-            return And(a, b)
-        return Imp(a, b)
-
-    for _ in range(100):
-        f = skeleton(skeleton_depth)
-        try:
-            r = kp_rank(f)
-        except RankOverflowError:
-            continue
-        if r.value is not None and r.value <= max_rank:
-            return f
-    return Neg(random_formula(rng, atom_names, body_depth))

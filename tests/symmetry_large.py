@@ -20,6 +20,7 @@ from medlog import medvedev
 from medlog.formula import atoms, parse, render
 from medlog.medvedev import FrameCheck, compile_formula, frame, valid_on
 from medlog.randgen import random_formula
+from oracles import full_order_chunks
 
 BUDGET = 10**12
 # two theorems and one non-theorem per atom count; over three atoms the
@@ -55,7 +56,7 @@ def outcome(res):
 
 def full(fr, f):
     prog = compile_formula(f)
-    chunks = medvedev._valuation_chunks(fr, atoms(f), len(prog))
+    chunks = full_order_chunks(fr, atoms(f), len(prog))
     checked, wit = medvedev._sweep(fr, f, prog, chunks)
     return FrameCheck(fr.n, "exhaustive", wit is None, checked, wit)
 

@@ -28,7 +28,7 @@ from medlog.medvedev import (
     valid_on,
     dp_countermodel,
 )
-from medlog.randgen import random_finite_rank_formula, random_formula
+from medlog.randgen import random_formula
 from medlog.structural import (
     admissibility_witness,
     alpha_pmorphism,
@@ -39,6 +39,7 @@ from medlog.structural import (
 )
 
 import conftest
+from oracles import random_finite_rank_formula
 from test_ipc import THEOREMS, _truth
 
 
@@ -156,8 +157,7 @@ def test_criterion_02_normal_form_verification():
         assert r.finite and r.value <= 64
         nd = kp_normalize(f)
         assert len(nd) == r.value, render(f)
-        report = verify_normal_form(f, nd, bound=3, max_exhaustive=10**7,
-                                    sample_count=1000, seed=0)
+        report = verify_normal_form(f, nd, bound=3, seed=0)
         assert report.rank_matches, render(f)
         assert all(fc.valid for fc in report.frame_checks), render(f)
         assert report.ok, render(f)

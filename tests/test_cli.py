@@ -8,7 +8,8 @@ import pytest
 
 from medlog.cli import main
 from medlog.formula import parse, render
-from medlog.medvedev import frame, witness_from_obj
+from medlog.medvedev import frame
+from oracles import witness_from_obj
 
 
 def run(capsys, *argv):
@@ -163,7 +164,7 @@ def test_check_negative_count_exits_3(capsys):
 def test_check_rejects_oversized_frame(capsys):
     code, _, err = run(capsys, "check", "p -> p", "--n", "9")
     assert code == 3
-    assert err == "error: exhaustive sweep over M_9 with 1 atoms exceeds budget\n"
+    assert err == "error: exhaustive sweeps support n <= 6, got M_9\n"
 
 
 def test_refute_exit_codes(capsys):

@@ -31,7 +31,9 @@ from medlog.ipc import (
     ipc_provable,
 )
 from medlog.kpform import kp_normalize
-from medlog.randgen import random_finite_rank_formula, random_formula
+from medlog.randgen import random_formula
+
+from oracles import random_finite_rank_formula
 
 
 def _truth(f, assign):

@@ -8,6 +8,7 @@ from medlog.errors import InfiniteRankError, RankOverflowError
 import itertools
 from functools import reduce
 
+from medlog import kpform
 from medlog.formula import (
     BOT,
     TOP,
@@ -34,7 +35,9 @@ from medlog.kpform import (
     verify_normal_form,
 )
 from medlog.medvedev import UPSET_COUNTS
-from medlog.randgen import random_finite_rank_formula, random_formula
+from medlog.randgen import random_formula
+
+from oracles import random_finite_rank_formula
 
 
 def rank_of(text):
@@ -179,10 +182,10 @@ def test_verify_detects_wrong_normal_form():
     assert not all(fc.valid for fc in report.frame_checks)
 
 
-def test_verify_samples_large_frames():
+def test_verify_samples_large_frames(monkeypatch):
+    monkeypatch.setattr(kpform, "_EXHAUSTIVE_VALUATIONS", 10**4)
     f = parse("~p -> ~q | ~r")
-    report = verify_normal_form(f, kp_normalize(f), bound=4,
-                                max_exhaustive=10**4, sample_count=50, seed=3)
+    report = verify_normal_form(f, kp_normalize(f), bound=4, seed=3)
     modes = {fc.n: fc.mode for fc in report.frame_checks}
     assert modes[1] == "exhaustive"
     assert modes[4] == "sample"
@@ -202,18 +205,19 @@ def test_verify_reports_constant_identification():
         assert report.ok and not report.constants_as_negations, text
 
 
-def test_verify_exhaustive_exactly_up_to_max_exhaustive_valuations():
+def test_verify_exhaustive_exactly_up_to_max_exhaustive_valuations(monkeypatch):
     f = parse("~p | ~q")  # the equivalence has two atoms: 5**2 valuations on M_2
     nd = kp_normalize(f)
     valuations = UPSET_COUNTS[2] ** 2
-    at = verify_normal_form(f, nd, bound=2, max_exhaustive=valuations, sample_count=9)
+    monkeypatch.setattr(kpform, "_EXHAUSTIVE_VALUATIONS", valuations)
+    at = verify_normal_form(f, nd, bound=2)
     assert at.frame_checks == (FrameCheck(1, "exhaustive", True, UPSET_COUNTS[1] ** 2),
                                FrameCheck(2, "exhaustive", True, valuations))
-    below = verify_normal_form(f, nd, bound=2, max_exhaustive=valuations - 1,
-                               sample_count=9)
-    assert below.frame_checks[1] == FrameCheck(2, "sample", True, 9)
+    monkeypatch.setattr(kpform, "_EXHAUSTIVE_VALUATIONS", valuations - 1)
+    below = verify_normal_form(f, nd, bound=2)
+    assert below.frame_checks[1] == FrameCheck(2, "sample", True, 1000)
     assert below.frame_checks[1].to_obj() == {"n": 2, "mode": "sample", "valid": True,
-                                              "checked": 9}
+                                              "checked": 1000}
 
 
 # --- the skeleton walk against the recursive passes it replaced ---------------
@@ -305,10 +309,10 @@ def _ref_has_constant(f):
     return False
 
 
-def _outcome(fn, f, cap):
+def _outcome(fn, f, *cap):
     """(value, None) or (None, (error type, message, id of its subformula))."""
     try:
-        return fn(f, cap), None
+        return fn(f, *cap), None
     except (InfiniteRankError, RankOverflowError) as e:
         return None, (type(e), str(e), id(getattr(e, "subformula", None)))
 
@@ -326,15 +330,17 @@ def _skeleton_corpus():
     return corpus
 
 
-def test_skeleton_passes_match_recursive_references():
+def test_skeleton_passes_match_recursive_references(monkeypatch):
     reports = 0
     for f in _skeleton_corpus():
         for cap in (RANK_CAP, 7, 2):
-            assert _outcome(kp_rank, f, cap) == _outcome(_ref_rank, f, cap), render(f)
-            got, want = _outcome(kp_normalize, f, cap), _outcome(_ref_normalize, f, cap)
+            with monkeypatch.context() as m:
+                m.setattr(kpform, "RANK_CAP", cap)
+                assert _outcome(kp_rank, f) == _outcome(_ref_rank, f, cap), render(f)
+                got, want = _outcome(kp_normalize, f), _outcome(_ref_normalize, f, cap)
             assert got[1] == want[1], render(f)
             assert got[0] is None or got[0].bodies == want[0].bodies, render(f)
-        nd = _outcome(kp_normalize, f, RANK_CAP)[0]
+        nd = _outcome(kp_normalize, f)[0]
         if nd is not None and reports < 150:
             report = verify_normal_form(f, nd, bound=1)
             assert report.needs_weak_kp == _ref_has_imp(f), render(f)

@@ -33,7 +33,6 @@ from medlog.medvedev import (
     gens,
     is_upset,
     iter_valuations,
-    persistence_check,
     refute,
     run_program,
     sample_valuation,
@@ -43,10 +42,12 @@ from medlog.medvedev import (
     valid_on,
     valuation,
     valuation_from_obj,
-    witness_from_obj,
     world,
 )
 from medlog.randgen import random_formula
+
+from oracles import (down_bits, full_order_chunks, is_maximal, persistence_check,
+                     witness_from_obj)
 
 
 # --- naive reference implementations -----------------------------------
@@ -142,7 +143,7 @@ def test_order_is_reverse_inclusion():
 
 def test_maximal_worlds_are_singletons():
     fr = frame(4)
-    maxes = [w for w in fr.worlds() if fr.is_maximal(w)]
+    maxes = [w for w in fr.worlds() if is_maximal(w)]
     assert maxes == [world(i) for i in range(1, 5)]
 
 
@@ -150,7 +151,7 @@ def test_up_down_covers_bits():
     fr = frame(3)
     w = world(1, 2)
     assert sorted(upset_worlds(fr.up_bits(w))) == [world(1), world(2), world(1, 2)]
-    assert sorted(upset_worlds(fr.down_bits(w))) == [world(1, 2), world(1, 2, 3)]
+    assert sorted(upset_worlds(down_bits(fr, w))) == [world(1, 2), world(1, 2, 3)]
 
 
 def test_frames_hold_no_per_world_table():
@@ -190,7 +191,7 @@ def test_closures_match_unions_of_cones(n):
             up = down = 0
             for w in ws:
                 up |= fr.up_bits(w)
-                down |= fr.down_bits(w)
+                down |= down_bits(fr, w)
             bits = upset_from_worlds(fr, ws)
             assert close_up(fr, bits) == up, (n, ws)
             assert down_closure(fr, bits) == down, (n, ws)
@@ -394,7 +395,7 @@ def test_iter_valuations_matches_packed_sweep_decoding(monkeypatch, bound):
     for n in (1, 2, 3):
         fr = frame(n)
         for names in ([], ["p"], ["p", "q"], ["p", "q", "r"]):
-            decoded = decode_chunks(fr, medvedev._valuation_chunks(fr, names, 1))
+            decoded = decode_chunks(fr, full_order_chunks(fr, names, 1))
             assert list(iter_valuations(fr, names)) == decoded, (n, names)
 
 
@@ -529,8 +530,7 @@ def test_exhaustive_sweep_small_chunks_match_per_valuation_loop(monkeypatch, bou
                 # them, and the chunk of the sweep's stream that holds it
                 pos = sum(min(max(index - s, 0), count * size)
                           for s, count, size in medvedev._leader_pieces(n, len(atoms(f))))
-                chunks = medvedev._valuation_chunks(fr, atoms(f), len(compile_formula(f)),
-                                                    leaders=True)
+                chunks = medvedev._valuation_chunks(fr, atoms(f), len(compile_formula(f)))
                 start, length, _ = next(c for c in chunks if pos < c[0] + c[1])
                 at_start += 0 < start == pos
                 at_end += 1 < length == pos - start + 1
@@ -712,7 +712,7 @@ def full_sweep(fr, f):
     """The exhaustive sweep of every valuation in enumeration order, the
     reference for the sweep of lex-leaders."""
     prog = compile_formula(f)
-    chunks = medvedev._valuation_chunks(fr, atoms(f), len(prog))
+    chunks = full_order_chunks(fr, atoms(f), len(prog))
     checked, wit = medvedev._sweep(fr, f, prog, chunks)
     return outcome(FrameCheck(fr.n, "exhaustive", wit is None, checked, wit))
 
