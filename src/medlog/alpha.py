@@ -67,8 +67,13 @@ def _literal_conjunction(pattern: int, m: int) -> Formula:
     return big_and(lits)
 
 
+@lru_cache(maxsize=16)
 def alpha_formulas(n: int) -> AlphaFamily:
-    """The n-member family; patterns descend so that ``alpha_1`` is all-positive."""
+    """The n-member family; patterns descend so that ``alpha_1`` is all-positive.
+
+    Built once per family size and kept for the 16 sizes used last, so the
+    callers of one size share one immutable family.
+    """
     if not 1 <= n <= MAX_FAMILY:
         raise ValueError(f"family size must be in 1..{MAX_FAMILY}, got {n}")
     if n == 1:
@@ -91,6 +96,13 @@ def alpha_I(family: AlphaFamily, indices: Iterable[int]) -> Formula:
     if idx[0] < 1 or idx[-1] > family.n:
         raise ValueError(f"indices must lie in 1..{family.n}")
     return Neg(Neg(big_or([family.formulas[i - 1] for i in idx])))
+
+
+@lru_cache(maxsize=1 << 10)
+def _alpha_I(n: int, mask: int) -> Formula:
+    """``alpha_I`` of ``alpha_formulas(n)`` over the generators of ``mask``,
+    built on first use and kept per frame size and index set."""
+    return alpha_I(alpha_formulas(n), gens(mask))
 
 
 @dataclass(frozen=True)
@@ -156,16 +168,21 @@ def universal_subst(n: int, v: Valuation) -> Substitution:
     """Replace each atom by the disjunction of ``alpha_I`` over its truth set.
 
     Worlds contribute in ascending mask order; an atom true nowhere maps to
-    the empty disjunction ``~T``.
+    the empty disjunction ``~T``.  Only the ``Substitution`` is built per
+    call: each image is kept per frame size and truth set (the 256 used
+    last), and each ``alpha_I`` in it per frame size and index set, so equal
+    truth sets, within a call or across calls, share one image object.
     """
     if v.frame.n != n:
         raise ValueError(f"valuation lives on {v.frame!r}, not M_{n}")
-    fam = alpha_formulas(n)
-    mapping = {
-        atom: big_or([alpha_I(fam, gens(w)) for w in upset_worlds(bits)])
-        for atom, bits in v.map.items()
-    }
-    return Substitution(mapping)
+    return Substitution({atom: _image(n, bits) for atom, bits in v.map.items()})
+
+
+@lru_cache(maxsize=256)
+def _image(n: int, bits: int) -> Formula:
+    """The disjunction of ``alpha_I`` over the worlds of ``bits``, kept per
+    frame size and world set."""
+    return big_or([_alpha_I(n, w) for w in upset_worlds(bits)])
 
 
 @dataclass(frozen=True)

@@ -255,7 +255,13 @@ def _cmd_pmorphism(args) -> int:
         if not (isinstance(point_map, dict)
                 and all(type(v) is int for v in point_map.values())):
             raise MedlogError("point_map must map generators to generators")
-        pm = PMorphism.from_max_map(m, n, {int(k): v for k, v in point_map.items()})
+        points: dict[int, int] = {}
+        for k, v in point_map.items():
+            g = int(k)
+            if g in points:
+                raise MedlogError(f"point_map names generator {g} twice")
+            points[g] = v
+        pm = PMorphism.from_max_map(m, n, points)
     else:
         pairs = obj.get("map")
         if not (isinstance(pairs, list)
@@ -267,6 +273,8 @@ def _cmd_pmorphism(args) -> int:
             w = world(*src)
             if w > fr.world_count:
                 raise MedlogError(f"source world {gens(w)} outside {fr!r}")
+            if dense[w - 1]:
+                raise MedlogError(f"map names source world {gens(w)} twice")
             dense[w - 1] = world(*dst)
         if 0 in dense:
             missing = gens(dense.index(0) + 1)

@@ -5,10 +5,11 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .formula import (_ATOM, _BINARY, _CONST, _NEG, BOT, TOP, And, Atom, Formula, Imp,
-                      Neg, Or)
+from .formula import (_AND, _ATOM, _BINARY, _CONST, _IMP, _NEG, _OR, BOT, TOP, Atom,
+                      Formula, Neg)
 
-_CONNECTIVES = (Neg, And, Or, Imp)  # by ``rng.randrange(4)``
+_CONNECTIVES = (_NEG, _AND, _OR, _IMP)  # by ``rng.randrange(4)``
+_BINARY_CLASSES = {op: cls for cls, op in _BINARY.items()}
 
 
 def _draw(rng: random.Random, atom_names: Sequence[str], depth: int,
@@ -16,26 +17,61 @@ def _draw(rng: random.Random, atom_names: Sequence[str], depth: int,
     """Draw one formula, appending the instruction of each node to the
     ``_dag`` table ``(nodes, prog, index)`` as it is drawn, and return its
     position.  A ``Formula`` is built only for an instruction new to the
-    table."""
-    if depth == 0 or rng.random() < 0.25:
-        roll = rng.random()
-        if roll < 0.8 and atom_names:
-            ins = (_ATOM, atom_names[rng.randrange(len(atom_names))], 0)
+    table.
+
+    The draw is the recursive one, a node at depth ``d`` being a leaf when
+    ``d == 0`` or with probability 1/4, a leaf an atom with probability 4/5,
+    and a connective's children drawn left first, but it runs as one loop
+    over an explicit stack: ``waiting`` holds each connective still missing
+    a child, with its children's depth and its left child's position once
+    known, and a finished node is combined into the connectives it completes
+    at once.  Each ``rng.randrange(k)`` is the ``getrandbits(k.bit_length())``
+    rejection loop that ``random.Random`` runs for it, so the generator makes
+    the same calls and ends in the same state.  Nothing is kept between
+    calls.
+    """
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
+    rand, bits = rng.random, rng.getrandbits
+    names = len(atom_names)
+    width = names.bit_length()
+    waiting: list[tuple[int, int, int]] = []  # (op, children's depth, left child or -1)
+    d = depth
+    while True:
+        if d and rand() >= 0.25:
+            r = bits(3)
+            while r >= 4:
+                r = bits(3)
+            d -= 1
+            waiting.append((_CONNECTIVES[r], d, -1))
+            continue
+        roll = rand()
+        if roll < 0.8 and names:
+            r = bits(width)
+            while r >= names:
+                r = bits(width)
+            ins = (_ATOM, atom_names[r], 0)
         else:
             ins = (_CONST, int(roll < 0.9), 0)
-    else:
-        cls = _CONNECTIVES[rng.randrange(4)]
-        a = _draw(rng, atom_names, depth - 1, nodes, prog, index)
-        ins = ((_NEG, a, 0) if cls is Neg
-               else (_BINARY[cls], a, _draw(rng, atom_names, depth - 1, nodes, prog, index)))
-    i = index.get(ins)
-    if i is None:
-        i = index[ins] = len(prog)
-        prog.append(ins)
-        op, a, b = ins
-        nodes.append(Atom(a) if op == _ATOM else (TOP if a else BOT) if op == _CONST
-                     else Neg(nodes[a]) if op == _NEG else cls(nodes[a], nodes[b]))
-    return i
+        while True:  # intern the node, then each connective it completes
+            i = index.get(ins)
+            if i is None:
+                i = index[ins] = len(prog)
+                prog.append(ins)
+                op, a, b = ins
+                nodes.append(Atom(a) if op == _ATOM else (TOP if a else BOT) if op == _CONST
+                             else Neg(nodes[a]) if op == _NEG
+                             else _BINARY_CLASSES[op](nodes[a], nodes[b]))
+            if not waiting:
+                return i
+            op, d, a = waiting.pop()
+            if op == _NEG:
+                ins = (op, i, 0)
+            elif a < 0:  # the right child is next, at depth d
+                waiting.append((op, d, i))
+                break
+            else:
+                ins = (op, a, i)
 
 
 def random_formula(rng: random.Random, atom_names: Sequence[str], depth: int) -> Formula:

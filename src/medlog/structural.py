@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .alpha import (
     TransferCase,
     TransferReport,
     UniversalValuation,
-    alpha_I,
+    _alpha_I,
     alpha_formulas,
     u_valuation,
     universal_subst,
@@ -245,6 +246,8 @@ class PMorphismReport:
 def check_pmorphism(pm: PMorphism) -> PMorphismReport:
     """Exhaustive monotonicity and back-condition check.
 
+    Monotonicity compares each world with the worlds above it only, the
+    submasks of its generator set, so ``M_m`` costs ``3**m`` pairs.
     The back condition uses the canonical candidate: for ``y`` above the
     image of ``x``, keep exactly the generators of ``x`` whose point images
     lie in ``y``; that world must sit above ``x`` and map onto ``y``.
@@ -261,9 +264,11 @@ def check_pmorphism(pm: PMorphism) -> PMorphismReport:
     violations = []
     for x in fr_m.worlds():
         fx = pm.apply(x)
-        for y in fr_m.worlds():
-            if fr_m.le(x, y) and fx | pm.apply(y) != fx:
+        y = x & -x  # iterate submasks of x ascending: exactly the worlds above it
+        while y:
+            if fx | pm.apply(y) != fx:
                 violations.append(("monotone", x, y))
+            y = (y - x) & x
 
     point_images = [pm.apply(1 << i) for i in range(pm.m)]
     for x in fr_m.worlds():
@@ -275,12 +280,20 @@ def check_pmorphism(pm: PMorphism) -> PMorphismReport:
                 img = point_images[g - 1]
                 if img & y == img:
                     candidate |= 1 << (g - 1)
-            if candidate == 0 or (x | candidate != x) or pm.apply(candidate) != y:
+            if candidate == 0 or not fr_m.le(x, candidate) or pm.apply(candidate) != y:
                 violations.append(("back", x, y))
             y = (y - 1) & fx
             if y == 0:
                 break
     return PMorphismReport(not violations, tuple(violations))
+
+
+@lru_cache(maxsize=16)
+def _family_program(n: int) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """The members of ``alpha_formulas(n)`` as one program and their
+    positions in it, built once per family size."""
+    _, prog, _, at = _dag(*alpha_formulas(n).formulas)
+    return tuple(prog), tuple(at)
 
 
 def alpha_pmorphism(m: int, n: int, w: Valuation) -> PMorphism:
@@ -289,8 +302,7 @@ def alpha_pmorphism(m: int, n: int, w: Valuation) -> PMorphism:
     returning."""
     if w.frame.n != m:
         raise ValueError(f"valuation lives on {w.frame!r}, not M_{m}")
-    fam = alpha_formulas(n)
-    _, prog, _, at = _dag(*fam.formulas)
+    prog, at = _family_program(n)
     ts = _run(frame(m), prog, w.map)
     member_ts = [ts[i] for i in at]
     point_map = {}
@@ -339,12 +351,26 @@ def check_alpha_transfer(pm: PMorphism, u: UniversalValuation,
                          w: Valuation) -> TransferReport:
     """The membership transfer: ``f(x)`` lands in the truth set of
     ``alpha_I`` under the universal valuation exactly when ``x`` is in its
-    truth set under ``w``, for every index set ``I``.  ``w`` must live on
-    ``M_{pm.m}`` and ``u`` on ``M_{pm.n}`` (``ValueError`` otherwise)."""
+    truth set under ``w``, for every index set ``I``.  The ``alpha_I``, the
+    one program holding them and their positions in it are built once per
+    frame size; each call runs that program on both frames.  ``w`` must live
+    on ``M_{pm.m}``, and ``u`` on ``M_{pm.n}`` with the family
+    ``alpha_formulas(pm.n)`` (``ValueError`` otherwise)."""
     _check_frames(pm, u, w)
-    formulas = [alpha_I(u.family, gens(mask)) for mask in frame(u.n).worlds()]
+    if u.family != alpha_formulas(u.n):
+        raise ValueError(f"universal valuation's family is not alpha_formulas({u.n})")
+    return _transfer(pm, *_membership_program(u.n), w.map, u.valuation.map)
+
+
+@lru_cache(maxsize=8)
+def _membership_program(n: int) -> tuple[tuple[Formula, ...], tuple[tuple, ...],
+                                         tuple[int, ...]]:
+    """Every ``alpha_I`` of ``M_n``'s index sets in ascending mask order, the
+    one program that holds them, and their positions in it, built once per
+    frame size."""
+    formulas = tuple(_alpha_I(n, mask) for mask in frame(n).worlds())
     _, prog, _, at = _dag(*formulas)
-    return _transfer(pm, formulas, prog, at, w.map, u.valuation.map)
+    return formulas, tuple(prog), tuple(at)
 
 
 def transfer_check(pm: PMorphism, sigma: Substitution, u: UniversalValuation,
@@ -367,7 +393,7 @@ def transfer_check(pm: PMorphism, sigma: Substitution, u: UniversalValuation,
     if count < 0:
         raise ValueError(f"test formula count must be non-negative, got {count}")
     _check_frames(pm, u, w)
-    domain = sorted(sigma.mapping)
+    names = domain = sorted(sigma.mapping)
     if test_formulas is None:
         rng = random.Random(seed)
         nodes, prog, index, at = _dag(*[Atom(p) for p in domain], TOP, BOT)
@@ -375,8 +401,8 @@ def transfer_check(pm: PMorphism, sigma: Substitution, u: UniversalValuation,
         test_formulas = [nodes[i] for i in at]
     else:
         _, prog, _, at = _dag(*test_formulas)
-    # an atom outside the domain stands for ``sigma.lookup``'s default, as in apply_subst
-    names = sorted(set(domain).union(_program_atoms(prog)))
+        # an atom outside the domain stands for ``sigma.lookup``'s default, as in apply_subst
+        names = sorted(set(domain).union(_program_atoms(prog)))
     _, images, _, image_at = _dag(*[sigma.lookup(p) for p in names])
     ts_w = _run(frame(pm.m), images, w.map)
     ts_u = _run(frame(pm.n), images, u.valuation.map)

@@ -35,6 +35,14 @@ def down_bits(fr: MedvedevFrame, w: World) -> UpSet:
     return bits
 
 
+def monotone_violations(pm: medvedev.PMorphism) -> list[tuple]:
+    """``("monotone", x, y)`` for every pair of worlds ``x <= y`` of ``M_m``
+    whose images are not ordered, over all pairs in ascending order."""
+    fr = frame(pm.m)
+    return [("monotone", x, y) for x in fr.worlds() for y in fr.worlds()
+            if fr.le(x, y) and not frame(pm.n).le(pm.apply(x), pm.apply(y))]
+
+
 def persistence_check(fr: MedvedevFrame, val: Valuation, f: Formula) -> bool:
     """Whether the truth set of ``f`` is upward closed under ``val``."""
     return is_upset(fr, truth_set(fr, val, f))

@@ -388,6 +388,19 @@ def test_pmorphism_incomplete_map_exits_3(tmp_path, capsys):
     assert "misses world" in err
 
 
+@pytest.mark.parametrize("obj, named", [
+    ({"m": 1, "n": 2, "map": [[[1], [1]], [[1], [2]]]}, "map names source world (1,) twice"),
+    ({"m": 2, "n": 2, "map": [[[1], [1]], [[2], [2]], [[1, 2], [1, 2]], [[2, 2], [1]]]},
+     "map names source world (2,) twice"),
+    ({"m": 1, "n": 1, "point_map": {"1": 1, "01": 1}}, "point_map names generator 1 twice"),
+])
+def test_pmorphism_source_named_twice_exits_3(tmp_path, capsys, obj, named):
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "pmorphism", "--check", str(path))
+    assert (code, out, err) == (3, "", f"error: {named}\n")
+
+
 def test_usage_errors_exit_3(capsys):
     assert run(capsys, "no-such-command")[0] == 3
     assert run(capsys, "check", "p")[0] == 3  # --n is required
@@ -506,7 +519,9 @@ def _fuzz_json(rng, depth=0):
 def _fuzz_files(rng):
     deep = "[" * 100000 + "]" * 100000  # past the decoder's nesting limit
     files = ["", "{", "[[1]", "nul", deep, '{"p": ' + deep + "}",
-             json.dumps({"p": [[1]]})[:-1], json.dumps({"m": 2, "n": 1, "map": [[[1]]]})]
+             json.dumps({"p": [[1]]})[:-1], json.dumps({"m": 2, "n": 1, "map": [[[1]]]}),
+             json.dumps({"m": 1, "n": 2, "map": [[[1], [1]], [[1], [2]]]}),
+             json.dumps({"m": 1, "n": 1, "point_map": {"1": 1, "01": 1}})]
     files += [json.dumps(_fuzz_json(rng)) for _ in range(30)]
 
     def worlds():  # near-valid lists of generator lists

@@ -3,23 +3,28 @@
 ``random_formula`` draws straight into a ``_dag`` table, and the law checks
 walk and evaluate each family's formulas as one program per frame.  The
 references below are the recursive draw and the per-formula loops they
-replaced: one compile and one evaluation per formula and frame.
+replaced: one compile and one evaluation per formula and frame.  What
+depends only on the frame size is built once and kept; the memo tests
+compare it with a construction made afresh for the call.
 """
 
 import random
 
 import pytest
 
+from medlog import alpha, structural
 from medlog.alpha import (
     TransferCase,
     TransferReport,
+    UniversalValuation,
     alpha_I,
     alpha_formulas,
     u_valuation,
     universal_subst,
     verify_lemma,
 )
-from medlog.formula import BOT, TOP, And, Atom, Imp, Neg, Or, _dag, apply_subst, parse, render
+from medlog.formula import (BOT, TOP, And, Atom, Imp, Neg, Or, Substitution, _dag, apply_subst,
+                            big_or, parse, render)
 from medlog.medvedev import (
     PMorphism,
     Valuation,
@@ -29,6 +34,7 @@ from medlog.medvedev import (
     run_program,
     sample_valuation,
     truth_set,
+    upset_worlds,
 )
 from medlog.randgen import _draw, random_formula
 from medlog.structural import alpha_pmorphism, check_alpha_transfer, transfer_check
@@ -62,9 +68,21 @@ def ref_transfer_case(pm, f, source, target):
     return TransferCase(f, not diff, (diff & -diff).bit_length() or None)
 
 
+def fresh_family(n):
+    """``alpha_formulas(n)`` built for this call, not taken from the memo."""
+    return alpha_formulas.__wrapped__(n)
+
+
+def ref_universal_subst(n, v):
+    fam = fresh_family(n)
+    return Substitution({a: big_or([alpha_I(fam, gens(w)) for w in upset_worlds(bits)])
+                         for a, bits in v.map.items()})
+
+
 def ref_check_alpha_transfer(pm, u, w):
+    fam = fresh_family(u.n)
     return TransferReport(tuple(
-        ref_transfer_case(pm, alpha_I(u.family, gens(mask)), w, u.valuation)
+        ref_transfer_case(pm, alpha_I(fam, gens(mask)), w, u.valuation)
         for mask in frame(u.n).worlds()))
 
 
@@ -86,7 +104,7 @@ def ref_transfer_check(pm, sigma, u, w, test_formulas=None, *, count=100, seed=0
 
 def ref_verify_lemma(n, v, test_formulas):
     fr = frame(n)
-    sigma = universal_subst(n, v)
+    sigma = ref_universal_subst(n, v)
     u = u_valuation(n)
     cases = []
     for f in test_formulas:
@@ -98,7 +116,7 @@ def ref_verify_lemma(n, v, test_formulas):
 def ref_point_map(m, n, w):
     """Maximal world ``i`` to the one family member it forces, each member's
     truth set evaluated on its own."""
-    member_ts = [truth_set(frame(m), w, a) for a in alpha_formulas(n).formulas]
+    member_ts = [truth_set(frame(m), w, a) for a in fresh_family(n).formulas]
     point_map = {}
     for i in range(1, m + 1):
         bit = 1 << ((1 << (i - 1)) - 1)
@@ -115,14 +133,22 @@ def cases(report):
 
 @pytest.mark.parametrize("depth", range(7))
 def test_random_formula_matches_the_recursive_draw(depth):
-    """Same formulas from the same rng calls: the states agree after each draw."""
-    for k in range(5):
+    """Same formulas from the same rng calls: the states agree after each
+    draw.  Zero to eight names cover ``randrange`` bit widths 1 to 4, a
+    single name drawing one bit per atom leaf."""
+    names = NAMES + ["t", "u", "v", "w"]
+    for k in range(9):
         for seed in range(40):
             rng, ref_rng = random.Random(seed), random.Random(seed)
             for _ in range(3):
-                assert random_formula(rng, NAMES[:k], depth) == ref_random_formula(
-                    ref_rng, NAMES[:k], depth)
+                assert random_formula(rng, names[:k], depth) == ref_random_formula(
+                    ref_rng, names[:k], depth)
                 assert rng.getstate() == ref_rng.getstate()
+
+
+def test_a_negative_depth_is_rejected():
+    with pytest.raises(ValueError, match="depth"):
+        random_formula(random.Random(0), NAMES, -1)
 
 
 def test_a_table_filled_by_drawing_equals_a_dag_walk():
@@ -195,3 +221,65 @@ def test_law_checks_match_the_per_formula_loops():
     for key in failing:
         assert failing[key] > 50 and holding[key] > 50, (key, failing, holding)
 
+
+
+# --- the memos ------------------------------------------------------------------
+
+MEMOS = (alpha.alpha_formulas, alpha._alpha_I, alpha._image, structural._family_program,
+         structural._membership_program)
+
+
+def test_memoized_constructions_match_fresh_ones():
+    """Kept tables against tables built for the call, for n = 1..6, with the
+    universal valuation and with an arbitrary one in its place (the memos
+    must not remember a caller's valuation), in either order."""
+    rng = random.Random(22)
+    for trial in range(90):
+        n, m = trial % 6 + 1, rng.randrange(1, 4)
+        names = fresh_family(n).atom_names()
+        v = sample_valuation(frame(n), ["p", "q", "r"][:rng.randrange(4)], rng)
+        sigma = universal_subst(n, v)
+        assert sigma == ref_universal_subst(n, v)
+        assert [render(g) for g in sigma.mapping.values()] == [
+            render(g) for g in ref_universal_subst(n, v).mapping.values()]
+        w = sample_valuation(frame(m), names, rng)
+        pm = alpha_pmorphism(m, n, w)
+        assert pm == PMorphism.from_max_map(m, n, ref_point_map(m, n, w))
+        arbitrary = UniversalValuation(n, fresh_family(n), sample_valuation(frame(n), names, rng))
+        for u in (u_valuation(n), arbitrary)[::rng.choice((1, -1))]:
+            assert cases(check_alpha_transfer(pm, u, w)) == cases(
+                ref_check_alpha_transfer(pm, u, w)), (trial, u)
+            count, seed = rng.randrange(20), rng.randrange(1 << 16)
+            assert cases(transfer_check(pm, sigma, u, w, count=count, seed=seed)) == cases(
+                ref_transfer_check(pm, ref_universal_subst(n, v), u, w, count=count, seed=seed))
+
+
+def test_check_alpha_transfer_rejects_another_family():
+    fam = fresh_family(2)
+    other = alpha.AlphaFamily(2, 1, fam.formulas[::-1])
+    u = UniversalValuation(2, other, u_valuation(2).valuation)
+    w = sample_valuation(frame(1), fam.atom_names(), random.Random(3))
+    with pytest.raises(ValueError, match="alpha_formulas"):
+        check_alpha_transfer(alpha_pmorphism(1, 2, w), u, w)
+
+
+def test_memos_stay_bounded_and_rejected_sizes_raise():
+    rng = random.Random(23)
+    for n in range(1, 11):
+        universal_subst(n, sample_valuation(frame(n), ["p", "q"], rng))
+        w = sample_valuation(frame(1), alpha_formulas(n).atom_names(), rng)
+        assert check_alpha_transfer(alpha_pmorphism(1, n, w), u_valuation(n), w).ok
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize, memo
+    w = sample_valuation(frame(1), ["p1"], rng)
+    for bad in (0, 1025):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="family size"):
+                alpha_formulas(bad)
+            with pytest.raises(ValueError, match="family size"):
+                alpha_pmorphism(1, bad, w)
+            with pytest.raises(ValueError):
+                u_valuation(bad)
+            with pytest.raises(ValueError):
+                universal_subst(bad, w)

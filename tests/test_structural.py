@@ -42,6 +42,7 @@ from medlog.structural import (
     levin_decomposition,
     transfer_check,
 )
+from oracles import monotone_violations
 
 
 def pullback_valuation(m, n, point_map):
@@ -263,6 +264,26 @@ def test_check_pmorphism_flags_back_condition():
     assert not report.ok
     kinds = {v[0] for v in report.violations}
     assert kinds == {"back"}
+
+
+def test_monotonicity_matches_the_all_pairs_loop():
+    """The worlds above ``x`` as its submasks: the same violations, in the
+    same order, as comparing every pair of worlds."""
+    rng = random.Random(1934)
+    monotone = 0
+    for trial in range(2000):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+        if trial % 4 == 0:
+            pm = PMorphism.from_max_map(m, n, {i: rng.randrange(1, n + 1)
+                                               for i in range(1, m + 1)})
+        else:
+            pm = PMorphism(m, n, tuple(rng.randrange(1, 1 << n) for _ in range(2 ** m - 1)))
+        report = check_pmorphism(pm)
+        want = monotone_violations(pm)
+        assert [v for v in report.violations if v[0] == "monotone"] == want, pm
+        monotone += not want
+        assert report.ok == (not report.violations)
+    assert 500 < monotone < 1500, monotone
 
 
 def test_check_pmorphism_rejects_maps_outside_the_frames():
