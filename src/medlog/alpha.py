@@ -55,9 +55,6 @@ class AlphaFamily:
     m: int  # number of atoms p1..pm
     formulas: tuple[Formula, ...]
 
-    def atom_names(self) -> list[str]:
-        return [f"p{j}" for j in range(1, self.m + 1)]
-
 
 def _literal_conjunction(pattern: int, m: int) -> Formula:
     lits = [
@@ -105,21 +102,15 @@ def _alpha_I(n: int, mask: int) -> Formula:
     return alpha_I(alpha_formulas(n), gens(mask))
 
 
-@dataclass(frozen=True)
-class UniversalValuation:
-    n: int
-    family: AlphaFamily
-    valuation: Valuation
-
-
 def _effective_pattern(i: int, m: int) -> int:
     # the merged tail member answers atoms like its first merged pattern
     return (1 << m) - i
 
 
 @lru_cache(maxsize=None)
-def u_valuation(n: int) -> UniversalValuation:
-    """The valuation under which the family separates the maximal worlds.
+def u_valuation(n: int) -> Valuation:
+    """The valuation on ``M_n`` under which ``alpha_formulas(n)`` separates
+    the maximal worlds.
 
     Atom ``pj`` holds at a world exactly when every generator's pattern sets
     ``pj``; equivalently its truth set is the submask cone of ``S_j``, the
@@ -136,31 +127,31 @@ def u_valuation(n: int) -> UniversalValuation:
             if _effective_pattern(i, fam.m) >> (fam.m - j) & 1:
                 s_mask |= 1 << (i - 1)
         mapping[f"p{j}"] = fr.up_bits(s_mask) if s_mask else 0
-    u = UniversalValuation(n, fam, Valuation(fr, mapping))
+    u = Valuation(fr, mapping)
     _validate(u, full=n <= FULL_VALIDATION_N)
     return u
 
 
-def _validate(u: UniversalValuation, full: bool) -> None:
-    fr = frame(u.n)
+def _validate(u: Valuation, full: bool) -> None:
+    fr, fam = u.frame, alpha_formulas(u.frame.n)
     # each maximal world forces its own family member and no other
-    member_ts = [truth_set(fr, u.valuation, a) for a in u.family.formulas]
-    for i in range(1, u.n + 1):
+    member_ts = [truth_set(fr, u, a) for a in fam.formulas]
+    for i in range(1, fr.n + 1):
         w = 1 << (i - 1)
-        for j in range(1, u.n + 1):
+        for j in range(1, fr.n + 1):
             forced = bool(member_ts[j - 1] >> (w - 1) & 1)
             if forced != (i == j):
                 raise SelfCheckError(
-                    f"maximal world {i} and member {j} disagree in the family for n={u.n}"
+                    f"maximal world {i} and member {j} disagree in the family for n={fr.n}"
                 )
     if not full:
         return
     # membership law: the truth set of alpha_I is exactly the submask cone of I
     for mask in fr.worlds():
-        f = alpha_I(u.family, gens(mask))
-        if truth_set(fr, u.valuation, f) != fr.up_bits(mask):
+        f = alpha_I(fam, gens(mask))
+        if truth_set(fr, u, f) != fr.up_bits(mask):
             raise SelfCheckError(
-                f"membership law fails for index set {gens(mask)} at n={u.n}"
+                f"membership law fails for index set {gens(mask)} at n={fr.n}"
             )
 
 
@@ -211,7 +202,7 @@ def verify_lemma(n: int, v: Valuation, test_formulas: Sequence[Formula]) -> Tran
     _, prog, _, at = _dag(*test_formulas)
     left = _run(fr, prog, v.map)
     _, image_prog, _, image_at = _dag(*[apply_subst(sigma, f) for f in test_formulas])
-    right = _run(fr, image_prog, u.valuation.map)
+    right = _run(fr, image_prog, u.map)
     cases = []
     for f, i, j in zip(test_formulas, at, image_at):
         diff = left[i] ^ right[j]

@@ -171,13 +171,13 @@ def _cmd_alpha(args) -> int:
             "n": fam.n,
             "m": fam.m,
             "formulas": [render(a) for a in fam.formulas],
-            "valuation": u.valuation.to_obj(),
+            "valuation": u.to_obj(),
             "validation": {"separation": "checked", "membership_law": membership},
         })
     else:
         for i, a in enumerate(fam.formulas, start=1):
             print(f"alpha_{i}: {render(a)}")
-        for atom, worlds in u.valuation.to_obj().items():
+        for atom, worlds in u.to_obj().items():
             shown = ", ".join("{" + ",".join(map(str, w)) + "}" for w in worlds)
             print(f"u({atom}): {shown}")
         print(f"validation: separation checked, membership law {membership}")

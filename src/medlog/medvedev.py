@@ -729,18 +729,17 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
 
 
 def refute(f: Formula, max_n: int, strategy: str = "auto", *,
-           count: int = 1000, seed: int = 0,
-           budget: int = DEFAULT_VALUATION_BUDGET) -> RefutationWitness | None:
+           count: int = 1000, seed: int = 0) -> RefutationWitness | None:
     """Scan frames of size 1..max_n for a refuting valuation and world.
 
-    ``strategy`` is the ``valid_on`` mode used on every frame; frame ``n``
-    samples with seed ``seed + n``.  A None return from sampled frames is
-    inconclusive.  A ``max_n`` outside ``1..MAX_N`` is a ``ValueError``
-    before any frame is swept.
+    ``strategy`` is the ``valid_on`` mode used on every frame, under its
+    default budget; frame ``n`` samples with seed ``seed + n``.  A None
+    return from sampled frames is inconclusive.  A ``max_n`` outside
+    ``1..MAX_N`` is a ``ValueError`` before any frame is swept.
     """
     frame(max_n)
     for n in range(1, max_n + 1):
-        res = valid_on(frame(n), f, strategy, count=count, seed=seed + n, budget=budget)
+        res = valid_on(frame(n), f, strategy, count=count, seed=seed + n)
         if res.witness is not None:
             return res.witness
     return None

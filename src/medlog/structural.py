@@ -26,7 +26,6 @@ from typing import Mapping, Sequence
 from .alpha import (
     TransferCase,
     TransferReport,
-    UniversalValuation,
     _alpha_I,
     alpha_formulas,
     u_valuation,
@@ -49,7 +48,6 @@ from .formula import (
 from .ipc import classical_countermodel
 from .kpform import kp_normalize
 from .medvedev import (
-    DEFAULT_VALUATION_BUDGET,
     FrameCheck,
     PMorphism,
     RefutationWitness,
@@ -172,23 +170,23 @@ class AdmissibilityWitness:
 
 
 def admissibility_witness(premise: Formula, conclusion: Formula, max_n: int = 3, *,
-                          validity_bound: int = 4, strategy: str = "auto",
-                          count: int = 1000, seed: int = 0,
-                          budget: int = DEFAULT_VALUATION_BUDGET
-                          ) -> AdmissibilityWitness | None:
+                          validity_bound: int = 4, count: int = 1000,
+                          seed: int = 0) -> AdmissibilityWitness | None:
     """Search frames 1..max_n for a valuation and world separating the rule.
 
     A valuation separates the rule exactly when it refutes
     ``premise -> conclusion`` somewhere, so the search is ``refute`` of that
-    implication: ascending frame size, valuation enumeration order, then the
-    least separating world (most generators, then smallest mask).  Returns
+    implication in its ``"auto"`` strategy: ascending frame size, valuation
+    enumeration order (``count`` samples seeded ``seed + n`` on a frame too
+    large to sweep), then the least separating world (most generators, then
+    smallest mask).  The premise's image is checked the same way on
+    ``M_1..M_validity_bound``.  Returns
     None when no separation shows up within the bound (which does not prove
     the conclusion follows).  A ``max_n`` or ``validity_bound`` outside the
     frame range is a ``ValueError`` before any search.
     """
     frame(validity_bound)
-    found = refute(Imp(premise, conclusion), max_n, strategy,
-                   count=count, seed=seed, budget=budget)
+    found = refute(Imp(premise, conclusion), max_n, count=count, seed=seed)
     if found is None:
         return None
     fr, val = frame(found.n), found.valuation
@@ -207,15 +205,14 @@ def admissibility_witness(premise: Formula, conclusion: Formula, max_n: int = 3,
         raise SelfCheckError("conclusion did not fail at the subframe bottom")
 
     sigma = universal_subst(k, restricted)
-    u = u_valuation(k)
     refutation = RefutationWitness(
-        k, u.valuation, sub.bottom(), apply_subst(sigma, conclusion)
+        k, u_valuation(k), sub.bottom(), apply_subst(sigma, conclusion)
     )
 
     image_premise = apply_subst(sigma, premise)
     # largest frame first, as a valid exhaustive sweep settles the smaller ones
-    evidence = [valid_on(frame(n2), image_premise, "auto", count=count, seed=seed + n2,
-                         budget=budget) for n2 in range(validity_bound, 0, -1)][::-1]
+    evidence = [valid_on(frame(n2), image_premise, "auto", count=count, seed=seed + n2)
+                for n2 in range(validity_bound, 0, -1)][::-1]
     for res in evidence:
         if not res.valid:
             raise SelfCheckError(
@@ -239,8 +236,11 @@ def admissibility_witness(premise: Formula, conclusion: Formula, max_n: int = 3,
 
 @dataclass(frozen=True)
 class PMorphismReport:
-    ok: bool
     violations: tuple[tuple, ...]  # ("monotone", x, y) | ("back", x, y_prime)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def check_pmorphism(pm: PMorphism) -> PMorphismReport:
@@ -285,7 +285,7 @@ def check_pmorphism(pm: PMorphism) -> PMorphismReport:
             y = (y - 1) & fx
             if y == 0:
                 break
-    return PMorphismReport(not violations, tuple(violations))
+    return PMorphismReport(tuple(violations))
 
 
 @lru_cache(maxsize=16)
@@ -321,11 +321,11 @@ def alpha_pmorphism(m: int, n: int, w: Valuation) -> PMorphism:
     return pm
 
 
-def _check_frames(pm: PMorphism, u: UniversalValuation, w: Valuation) -> None:
+def _check_frames(pm: PMorphism, u: Valuation, w: Valuation) -> None:
     if w.frame.n != pm.m:
         raise ValueError(f"valuation lives on {w.frame!r}, not M_{pm.m}")
-    if u.n != pm.n:
-        raise ValueError(f"universal valuation is for M_{u.n}, not M_{pm.n}")
+    if u.frame.n != pm.n:
+        raise ValueError(f"universal valuation is for M_{u.frame.n}, not M_{pm.n}")
 
 
 def _transfer(pm: PMorphism, formulas: Sequence[Formula], prog: list[tuple],
@@ -347,19 +347,15 @@ def _transfer(pm: PMorphism, formulas: Sequence[Formula], prog: list[tuple],
     return TransferReport(tuple(cases))
 
 
-def check_alpha_transfer(pm: PMorphism, u: UniversalValuation,
-                         w: Valuation) -> TransferReport:
+def check_alpha_transfer(pm: PMorphism, u: Valuation, w: Valuation) -> TransferReport:
     """The membership transfer: ``f(x)`` lands in the truth set of
     ``alpha_I`` under the universal valuation exactly when ``x`` is in its
     truth set under ``w``, for every index set ``I``.  The ``alpha_I``, the
     one program holding them and their positions in it are built once per
     frame size; each call runs that program on both frames.  ``w`` must live
-    on ``M_{pm.m}``, and ``u`` on ``M_{pm.n}`` with the family
-    ``alpha_formulas(pm.n)`` (``ValueError`` otherwise)."""
+    on ``M_{pm.m}`` and ``u`` on ``M_{pm.n}`` (``ValueError`` otherwise)."""
     _check_frames(pm, u, w)
-    if u.family != alpha_formulas(u.n):
-        raise ValueError(f"universal valuation's family is not alpha_formulas({u.n})")
-    return _transfer(pm, *_membership_program(u.n), w.map, u.valuation.map)
+    return _transfer(pm, *_membership_program(pm.n), w.map, u.map)
 
 
 @lru_cache(maxsize=8)
@@ -373,7 +369,7 @@ def _membership_program(n: int) -> tuple[tuple[Formula, ...], tuple[tuple, ...],
     return formulas, tuple(prog), tuple(at)
 
 
-def transfer_check(pm: PMorphism, sigma: Substitution, u: UniversalValuation,
+def transfer_check(pm: PMorphism, sigma: Substitution, u: Valuation,
                    w: Valuation, test_formulas: Sequence[Formula] | None = None, *,
                    count: int = 100, seed: int = 0) -> TransferReport:
     """Forcing of substitution images transfers along the map: for each test
@@ -405,7 +401,7 @@ def transfer_check(pm: PMorphism, sigma: Substitution, u: UniversalValuation,
         names = sorted(set(domain).union(_program_atoms(prog)))
     _, images, _, image_at = _dag(*[sigma.lookup(p) for p in names])
     ts_w = _run(frame(pm.m), images, w.map)
-    ts_u = _run(frame(pm.n), images, u.valuation.map)
+    ts_u = _run(frame(pm.n), images, u.map)
     side_w = {p: ts_w[i] for p, i in zip(names, image_at)}
     side_u = {p: ts_u[i] for p, i in zip(names, image_at)}
     return _transfer(pm, test_formulas, prog, at, side_w, side_u)

@@ -9,12 +9,18 @@ import random
 from typing import Mapping, Sequence
 
 from medlog import medvedev
+from medlog.alpha import AlphaFamily
 from medlog.errors import RankOverflowError
 from medlog.formula import And, Formula, Imp, Neg, Or, parse
 from medlog.kpform import kp_rank
 from medlog.medvedev import (MedvedevFrame, RefutationWitness, UpSet, Valuation,
                              World, frame, is_upset, truth_set, valuation_from_obj, world)
 from medlog.randgen import random_formula
+
+
+def family_atoms(family: AlphaFamily) -> list[str]:
+    """The atoms ``p1..pm`` the family's members are built from."""
+    return [f"p{j}" for j in range(1, family.m + 1)]
 
 
 def is_maximal(w: World) -> bool:

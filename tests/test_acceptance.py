@@ -39,7 +39,7 @@ from medlog.structural import (
 )
 
 import conftest
-from oracles import random_finite_rank_formula
+from oracles import family_atoms, random_finite_rank_formula
 from test_ipc import THEOREMS, _truth
 
 
@@ -182,7 +182,7 @@ def test_criterion_03_alpha_family_conditions():
     for n in range(1, 6):
         u = u_valuation(n)
         fr = frame(n)
-        member_ts = [truth_set(fr, u.valuation, a) for a in u.family.formulas]
+        member_ts = [truth_set(fr, u, a) for a in alpha_formulas(n).formulas]
         for i in range(1, n + 1):
             w = 1 << (i - 1)
             for j in range(1, n + 1):
@@ -192,7 +192,7 @@ def test_criterion_03_alpha_family_conditions():
         from medlog.alpha import alpha_I
 
         for j_mask in fr.worlds():
-            ts = truth_set(fr, u.valuation, alpha_I(u.family, gens(j_mask)))
+            ts = truth_set(fr, u, alpha_I(alpha_formulas(n), gens(j_mask)))
             for i_mask in fr.worlds():
                 member = bool(ts >> (i_mask - 1) & 1)
                 assert member == (i_mask & j_mask == i_mask), (n, i_mask, j_mask)
@@ -273,7 +273,7 @@ def test_criterion_08_pmorphism_laws():
     maps = 0
     for m in range(1, 5):
         for n in range(1, 5):
-            names = alpha_formulas(n).atom_names()
+            names = family_atoms(alpha_formulas(n))
             fr_m, fr_n = frame(m), frame(n)
             u = u_valuation(n)
             for _ in range(50):

@@ -1,5 +1,7 @@
 """The pairwise-contradictory family and the universal valuation."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -31,6 +33,7 @@ from medlog.medvedev import (
     world,
 )
 from medlog.randgen import random_formula
+from oracles import family_atoms
 
 
 def family_texts(n):
@@ -71,7 +74,7 @@ def test_family_sizes_and_atom_counts():
         fam = alpha_formulas(n)
         assert len(fam.formulas) == n
         assert fam.m == (0 if n == 1 else (n - 1).bit_length())
-        assert fam.atom_names() == [f"p{j}" for j in range(1, fam.m + 1)]
+        assert family_atoms(fam) == [f"p{j}" for j in range(1, fam.m + 1)]
 
 
 def test_members_pairwise_contradictory_intuitionistically():
@@ -106,8 +109,15 @@ def test_universal_valuation_atom_cones():
     u = u_valuation(3)
     fr = frame(3)
     # p1 marks the maximal worlds with a positive first literal: 1 and 2
-    assert u.valuation.map["p1"] == fr.up_bits(world(1, 2))
-    assert u.valuation.map["p2"] == fr.up_bits(world(1, 3))
+    assert u.map["p1"] == fr.up_bits(world(1, 2))
+    assert u.map["p2"] == fr.up_bits(world(1, 3))
+
+
+def test_universal_valuations_are_pinned():
+    # the atom cones of M_1..M_12, pinned so that any change to the construction shows
+    text = json.dumps([u_valuation(n).to_obj() for n in range(1, 13)], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0818d0d8be08c9cb0498f58ea57918ef35cecc981141b49f82fa4a34ef4955ae")
 
 
 def test_maximal_worlds_force_exactly_their_member():
@@ -115,8 +125,8 @@ def test_maximal_worlds_force_exactly_their_member():
         u = u_valuation(n)
         fr = frame(n)
         for i in range(1, n + 1):
-            for j, a in enumerate(u.family.formulas, start=1):
-                forced = bool(truth_set(fr, u.valuation, a) >> (world(i) - 1) & 1)
+            for j, a in enumerate(alpha_formulas(n).formulas, start=1):
+                forced = bool(truth_set(fr, u, a) >> (world(i) - 1) & 1)
                 assert forced == (i == j), (n, i, j)
 
 
@@ -126,8 +136,8 @@ def test_membership_law_explicit():
         u = u_valuation(n)
         fr = frame(n)
         for mask in fr.worlds():
-            f = alpha_I(u.family, gens(mask))
-            assert truth_set(fr, u.valuation, f) == fr.up_bits(mask), (n, mask)
+            f = alpha_I(alpha_formulas(n), gens(mask))
+            assert truth_set(fr, u, f) == fr.up_bits(mask), (n, mask)
 
 
 def test_universal_subst_goldens():
@@ -201,7 +211,7 @@ def test_exactly_one_member_under_any_valuation():
         fam = alpha_formulas(n)
         for k in (1, 2, 3):
             fr = frame(k)
-            for v in iter_valuations(fr, fam.atom_names()):
+            for v in iter_valuations(fr, family_atoms(fam)):
                 for i in range(1, k + 1):
                     bit = world(i) - 1
                     forced = [

@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from medlog import medvedev
 from medlog.alpha import alpha_formulas, u_valuation, universal_subst
-from medlog.errors import LimitError, SelfCheckError
+from medlog.errors import SelfCheckError
 from medlog.formula import (
     Atom,
     Substitution,
@@ -20,7 +19,6 @@ from medlog.ipc import ipc_provable
 from medlog.medvedev import (
     Valuation,
     compile_formula,
-    exhaustive_cost,
     frame,
     gens,
     iter_valuations,
@@ -142,35 +140,17 @@ def test_admissibility_none_when_conclusion_follows():
     assert admissibility_witness(kp_premise, kp_conclusion, 2) is None
 
 
-def test_admissibility_rejects_bad_strategy():
-    with pytest.raises(ValueError):
-        admissibility_witness(parse("p"), parse("q"), 2, strategy="guess")
-
-
-def test_admissibility_sample_strategy_deterministic():
-    a = admissibility_witness(parse("p | q"), parse("q"), 2,
-                              strategy="sample", count=50, seed=4)
-    b = admissibility_witness(parse("p | q"), parse("q"), 2,
-                              strategy="sample", count=50, seed=4)
-    assert a is not None and b is not None
-    assert a.to_obj() == b.to_obj()
-
-
-def reference_separation(premise, conclusion, max_n, strategy, count, seed):
+def reference_separation(premise, conclusion, max_n):
     """(k, restricted valuation) of the first separating valuation, by one
     ``run_program`` call per formula and valuation: valuations in enumeration
-    order (or ``count`` samples seeded ``seed + n``), then the separating
-    world with the most generators and the smallest mask."""
+    order, then the separating world with the most generators and the
+    smallest mask."""
     names = list(dict.fromkeys(atoms(premise) + atoms(conclusion)))
     prog_p, prog_c = compile_formula(premise), compile_formula(conclusion)
     for n in range(1, max_n + 1):
         fr = frame(n)
-        if strategy == "sample":
-            rng = random.Random(seed + n)
-            source = (sample_valuation(fr, names, rng) for _ in range(count))
-        else:  # up to three atoms on M_1..M_3 fit any budget used here
-            source = iter_valuations(fr, names)
-        for val in source:
+        # up to three atoms on M_1..M_3 fit the default budget, so the search sweeps
+        for val in iter_valuations(fr, names):
             sep = (run_program(fr, prog_p, val.map)
                    & (fr.all_worlds ^ run_program(fr, prog_c, val.map)))
             if sep:
@@ -189,8 +169,7 @@ def reference_separation(premise, conclusion, max_n, strategy, count, seed):
     return None
 
 
-@pytest.mark.parametrize("strategy", ["auto", "exhaustive", "sample"])
-def test_admissibility_search_matches_per_valuation_loop(strategy):
+def test_admissibility_search_matches_per_valuation_loop():
     rng = random.Random(61)
     found = 0
     for i in range(60):
@@ -199,8 +178,8 @@ def test_admissibility_search_matches_per_valuation_loop(strategy):
         conclusion = random_formula(rng, names, rng.randrange(1, 4))
         max_n = rng.randrange(2, 4)
         wit = admissibility_witness(premise, conclusion, max_n, validity_bound=2,
-                                    strategy=strategy, count=30, seed=i)
-        expected = reference_separation(premise, conclusion, max_n, strategy, 30, i)
+                                    count=30, seed=i)
+        expected = reference_separation(premise, conclusion, max_n)
         if wit is None:
             assert expected is None, (render(premise), render(conclusion))
             continue
@@ -209,28 +188,6 @@ def test_admissibility_search_matches_per_valuation_loop(strategy):
         assert (obj["k"], obj["valuation"]) == expected, (render(premise), render(conclusion))
         found += 1
     assert 0 < found < 60
-
-
-def test_admissibility_search_sweeps_a_frame_whose_cost_meets_the_budget(monkeypatch):
-    real = medvedev.valid_on
-    modes = []
-
-    def spy(fr, f, mode, **kwargs):
-        res = real(fr, f, mode, **kwargs)
-        modes.append((fr.n, res.exhaustive))
-        return res
-
-    monkeypatch.setattr(medvedev, "valid_on", spy)  # seen by refute, not the evidence loop
-    wit = admissibility_witness(parse("~~p"), parse("p"), 2, validity_bound=1,
-                                budget=exhaustive_cost(frame(2), 1))
-    assert wit.k == 2
-    assert modes == [(1, True), (2, True)]
-
-
-def test_admissibility_exhaustive_over_budget_is_a_limit_error():
-    # p, q on M_1 cost 2**2 sweep steps
-    with pytest.raises(LimitError):
-        admissibility_witness(parse("p"), parse("q"), 2, strategy="exhaustive", budget=3)
 
 
 # --- point maps ---------------------------------------------------------
@@ -372,7 +329,7 @@ def test_transfer_check_reads_atoms_outside_the_domain_as_the_default(caplog):
     for chi, case in zip(tests, report.cases):
         image = apply_subst(sigma, chi)
         source = truth_set(frame(2), w, image)
-        target = pm.pullback(truth_set(frame(2), u.valuation, image))
+        target = pm.pullback(truth_set(frame(2), u, image))
         assert case.ok == (source == target), render(chi)
     assert report.ok
 
