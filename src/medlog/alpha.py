@@ -35,9 +35,9 @@ from .formula import (
 )
 from .medvedev import (
     Valuation,
-    _run,
     frame,
     gens,
+    run_program,
     truth_set,
     upset_worlds,
 )
@@ -192,6 +192,12 @@ class TransferReport:
         return all(c.ok for c in self.cases)
 
 
+def _report(formulas: Sequence[Formula], diffs: Iterable[int]) -> TransferReport:
+    """One case per formula from the worlds where its two sides differ."""
+    return TransferReport(tuple(TransferCase(f, not d, (d & -d).bit_length() or None)
+                                for f, d in zip(formulas, diffs)))
+
+
 def verify_lemma(n: int, v: Valuation, test_formulas: Sequence[Formula]) -> TransferReport:
     """Compare each formula's truth set under ``v`` with its substitution
     image's truth set under the universal valuation, world by world.  The
@@ -200,11 +206,7 @@ def verify_lemma(n: int, v: Valuation, test_formulas: Sequence[Formula]) -> Tran
     sigma = universal_subst(n, v)
     u = u_valuation(n)
     _, prog, _, at = _dag(*test_formulas)
-    left = _run(fr, prog, v.map)
+    left = run_program(fr, prog, v.map)
     _, image_prog, _, image_at = _dag(*[apply_subst(sigma, f) for f in test_formulas])
-    right = _run(fr, image_prog, u.map)
-    cases = []
-    for f, i, j in zip(test_formulas, at, image_at):
-        diff = left[i] ^ right[j]
-        cases.append(TransferCase(f, not diff, (diff & -diff).bit_length() or None))
-    return TransferReport(tuple(cases))
+    right = run_program(fr, image_prog, u.map)
+    return _report(test_formulas, [left[i] ^ right[j] for i, j in zip(at, image_at)])

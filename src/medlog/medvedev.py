@@ -23,8 +23,8 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import LimitError, SelfCheckError, UnknownAtomError
-from .formula import (_AND, _ATOM, _CONST, _IMP, _NEG, _OR, Formula, Or, _dag,
-                      _program_atoms, render)
+from .formula import (_AND, _ATOM, _IMP, _NEG, _OR, Formula, Or, _dag, _program_atoms,
+                      render)
 
 World = int  # non-zero generator bitmask
 UpSet = int  # bitset over worlds, bit (mask - 1)
@@ -251,26 +251,35 @@ def valuation_from_obj(fr: MedvedevFrame, obj: Mapping[str, Iterable[Iterable[in
 
 # --- forcing -----------------------------------------------------------------
 
-_compiled: tuple[Formula, list[tuple]] | None = None  # last formula compiled, its program
+# the last formula compiled: [formula, program, the largest n of an exhaustive
+# sweep that found the program valid, or 0]
+_compiled: list | None = None
+
+
+def _compile_entry(f: Formula) -> list:
+    """``f``'s entry in ``_compiled``, made afresh unless ``f`` was compiled last."""
+    global _compiled
+    if _compiled is None or _compiled[0] is not f:
+        _compiled = [f, _dag(f)[1], 0]
+    return _compiled
 
 
 def compile_formula(f: Formula) -> list[tuple]:
     """Postorder program over structurally distinct subformulas: the
     instructions of the ``_dag`` numbering.  The last formula object compiled
-    is remembered by identity, and kept alive with its program, so checking it
-    on several frames, or checking and then proving it, walks it once; the
+    is remembered by identity in one entry, which keeps it alive with its
+    program and the frames ``valid_on`` settled for it, so checking it on
+    several frames, or checking and then proving it, walks it once; the
     returned list is shared and must not be mutated."""
-    global _compiled
-    last = _compiled
-    if last is None or last[0] is not f:
-        last = _compiled = f, _dag(f)[1]
-    return last[1]
+    return _compile_entry(f)[1]
 
 
-def _run(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, UpSet],
-         count: int = 1) -> list[int]:
+def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, UpSet],
+                count: int = 1) -> list[int]:
     """The worlds forcing each instruction of ``prog``, by position, under
-    ``count`` packed valuations, as ``run_program`` describes."""
+    ``count`` packed valuations; ``atom_bits`` holds each atom's packed world
+    sets, and the last entry is the truth set of the whole program.  With
+    ``count == 1`` atoms and results are plain world bitsets."""
     all_w, steps = _layout(fr.n, count)
     out: list[int] = []
     for op, a, b in prog:
@@ -293,17 +302,9 @@ def _run(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, UpSet],
     return out
 
 
-def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, UpSet],
-                count: int = 1) -> int:
-    """Worlds forcing the last instruction of ``prog`` under ``count`` packed
-    valuations; ``atom_bits`` holds each atom's packed world sets.  With
-    ``count == 1`` atoms and result are plain world bitsets."""
-    return _run(fr, prog, atom_bits, count)[-1]
-
-
 def truth_set(fr: MedvedevFrame, val: Valuation, f: Formula) -> int:
     """Bitset of worlds forcing ``f``."""
-    return run_program(fr, compile_formula(f), val.map)
+    return run_program(fr, compile_formula(f), val.map)[-1]
 
 
 def forces(fr: MedvedevFrame, val: Valuation, w: World, f: Formula) -> bool:
@@ -607,40 +608,35 @@ def _valuation_chunks(fr: MedvedevFrame, names: list[str], instructions: int) ->
     Chunks of sweeps within ``_CHUNK_VALUATIONS`` valuations are built once and
     kept; those of larger sweeps are built as the sweep goes, in chunks that
     double from one valuation, so that an early witness does not wait for a
-    full chunk of scattered leaders to be packed.  Without symmetry, on ``M_1``
-    and ``M_6``, the leaders are every valuation in one run, which packs at
-    once."""
+    full chunk to be packed.  Without symmetry, on ``M_1`` and ``M_6``, the
+    leaders are every valuation in one run."""
     u, k = len(_upset_list(fr.n)), len(names)
     cap = _chunk_cap(fr, instructions, _CHUNK_VALUATIONS)
     if u**k <= _CHUNK_VALUATIONS:
         chunks = _leader_plan(fr.n, k, cap)
     else:
-        chunks = _packed_chunks(fr.n, k, cap, _leader_pieces(fr.n, k),
-                                grow=bool(_perm_tables(fr.n)))
+        chunks = _packed_chunks(fr.n, k, cap, _leader_pieces(fr.n, k), grow=True)
     for start, length, values in chunks:
         yield start, length, dict(zip(names, values))
 
 
 def _sample_chunks(fr: MedvedevFrame, names: list[str], count: int, seed: int,
                    instructions: int) -> Iterator[tuple]:
-    """``count`` seeded ``sample_valuation`` draws, by chunks of doubling length
-    sized for ``instructions``: the raw draws, taken valuation by valuation and
-    atom by atom as ``sample_valuation`` takes them, packed per atom and closed
-    up per chunk."""
+    """``count`` seeded ``sample_valuation`` draws, by chunks that double from
+    one draw as ``_chunks`` cuts them, sized for ``instructions``: the raw
+    draws, taken valuation by valuation and atom by atom as
+    ``sample_valuation`` takes them, packed per atom and closed up per
+    chunk."""
     rng = random.Random(seed)
     size = _block_bits(fr.n) // 8
     cap = _chunk_cap(fr, instructions, _CHUNK_VALUATIONS // fr.world_count)
-    start, length = 0, 1
-    while start < count:
-        length = min(length, count - start)
+    for [(start, length)] in _chunks([(0, count, 1)], 1, cap, grow=True):
         raw = [rng.getrandbits(fr.world_count).to_bytes(size, "little")
                for _ in range(length * len(names))]
         steps = _layout(fr.n, length)[1]
         atom_bits = {nm: _up(int.from_bytes(b"".join(raw[i::len(names)]), "little"), steps)
                      for i, nm in enumerate(names)}
         yield start, length, atom_bits
-        start += length
-        length = min(2 * length, cap)
 
 
 def _sweep(fr: MedvedevFrame, f: Formula, prog: list[tuple],
@@ -651,7 +647,7 @@ def _sweep(fr: MedvedevFrame, f: Formula, prog: list[tuple],
     block = _block_bits(fr.n)
     checked = 0
     for start, length, atom_bits in chunks:
-        fails = _layout(fr.n, length)[0] ^ run_program(fr, prog, atom_bits, count=length)
+        fails = _layout(fr.n, length)[0] ^ run_program(fr, prog, atom_bits, count=length)[-1]
         if fails:
             bit = (fails & -fails).bit_length() - 1
             offset, w = divmod(bit, block)
@@ -674,11 +670,6 @@ def _covered(fr: MedvedevFrame, names: list[str], wit: RefutationWitness | None)
     return index + 1
 
 
-# the last program found valid by an exhaustive sweep, with the largest n
-# of such a sweep
-_settled: tuple[list[tuple], int] | None = None
-
-
 def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
              count: int = 1000, seed: int = 0,
              budget: int = DEFAULT_VALUATION_BUDGET) -> FrameCheck:
@@ -695,17 +686,18 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
     one, at its failing world of smallest mask.  Both modes evaluate chunks
     of valuations packed into one ``run_program`` call, and an exhaustive
     sweep evaluates only the lex-leaders, which hold that witness; its
-    ``checked`` counts the valuations covered.  A program the last
-    exhaustive sweep found valid on ``M_m`` is valid on every ``M_n`` with
-    ``n <= m``, the subframe above an ``n``-generator world, and is answered
-    without a sweep once the mode is planned.
+    ``checked`` counts the valuations covered.  A program an exhaustive
+    sweep found valid on ``M_m`` is valid on every ``M_n`` with ``n <= m``,
+    the subframe above an ``n``-generator world: the compile entry of the
+    last formula keeps the largest such ``m``, and a frame within it is
+    answered without a sweep once the mode is planned.
     """
-    global _settled
     if mode not in ("exhaustive", "sample", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
     if count < 0:
         raise ValueError(f"sample count must be non-negative, got {count}")
     prog = compile_formula(f)
+    entry = _compile_entry(f)  # the entry compile_formula just made or found
     names = _program_atoms(prog)
     cost = exhaustive_cost(fr, len(names))
     exhaustive = mode != "sample" and cost is not None and cost <= budget
@@ -716,7 +708,7 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
             f"exhaustive sweep over {fr!r} with {len(names)} atoms exceeds budget"
         )
     mode = "exhaustive" if exhaustive else "sample"
-    if _settled is not None and _settled[0] is prog and fr.n <= _settled[1]:
+    if fr.n <= entry[2]:
         return FrameCheck(fr.n, mode, True, _covered(fr, names, None) if exhaustive else count)
     chunks = (_valuation_chunks(fr, names, len(prog)) if exhaustive
               else _sample_chunks(fr, names, count, seed, len(prog)))
@@ -724,7 +716,7 @@ def valid_on(fr: MedvedevFrame, f: Formula, mode: str = "exhaustive", *,
     if exhaustive:
         checked = _covered(fr, names, wit)
         if wit is None:
-            _settled = prog, fr.n
+            entry[2] = fr.n
     return FrameCheck(fr.n, mode, wit is None, checked, wit)
 
 

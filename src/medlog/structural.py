@@ -24,9 +24,9 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .alpha import (
-    TransferCase,
     TransferReport,
     _alpha_I,
+    _report,
     alpha_formulas,
     u_valuation,
     universal_subst,
@@ -52,7 +52,6 @@ from .medvedev import (
     PMorphism,
     RefutationWitness,
     Valuation,
-    _run,
     compile_formula,
     frame,
     gens,
@@ -84,7 +83,7 @@ class LevinDecomposition:
             raise SelfCheckError("one countermodel per body required")
         for body, cm in zip(self.bodies, self.countermodels):
             if not run_program(frame(1), compile_formula(body),
-                               {a: int(v) for a, v in cm.items()}):
+                               {a: int(v) for a, v in cm.items()})[-1]:
                 raise SelfCheckError(
                     f"assignment {cm} does not satisfy body {render(body)}"
                 )
@@ -191,7 +190,7 @@ def admissibility_witness(premise: Formula, conclusion: Formula, max_n: int = 3,
         return None
     fr, val = frame(found.n), found.valuation
     prog_p, prog_c = compile_formula(premise), compile_formula(conclusion)
-    separating = run_program(fr, prog_p, val.map) & ~run_program(fr, prog_c, val.map)
+    separating = run_program(fr, prog_p, val.map)[-1] & ~run_program(fr, prog_c, val.map)[-1]
     w = min(upset_worlds(separating), key=lambda w: (-w.bit_count(), w))
     emb = generated_subframe(fr, w)
     k = emb.m
@@ -199,9 +198,9 @@ def admissibility_witness(premise: Formula, conclusion: Formula, max_n: int = 3,
     restricted = Valuation(sub, {a: emb.pullback(bits) for a, bits in val.map.items()})
 
     # premise forced at w persists to the whole cone; conclusion fails at its root
-    if run_program(sub, prog_p, restricted.map) != sub.all_worlds:
+    if run_program(sub, prog_p, restricted.map)[-1] != sub.all_worlds:
         raise SelfCheckError("premise is not globally forced on the generated subframe")
-    if run_program(sub, prog_c, restricted.map) >> (sub.bottom() - 1) & 1:
+    if run_program(sub, prog_c, restricted.map)[-1] >> (sub.bottom() - 1) & 1:
         raise SelfCheckError("conclusion did not fail at the subframe bottom")
 
     sigma = universal_subst(k, restricted)
@@ -303,7 +302,7 @@ def alpha_pmorphism(m: int, n: int, w: Valuation) -> PMorphism:
     if w.frame.n != m:
         raise ValueError(f"valuation lives on {w.frame!r}, not M_{m}")
     prog, at = _family_program(n)
-    ts = _run(frame(m), prog, w.map)
+    ts = run_program(frame(m), prog, w.map)
     member_ts = [ts[i] for i in at]
     point_map = {}
     for i in range(1, m + 1):
@@ -334,17 +333,10 @@ def _transfer(pm: PMorphism, formulas: Sequence[Formula], prog: list[tuple],
     """Compare ``x`` forcing each formula under ``source`` with ``pm.apply(x)``
     forcing it under ``target``, reporting the least world where they differ;
     formula ``i`` sits at ``at[i]`` of ``prog``, which runs once per frame."""
-    ts_source = _run(frame(pm.m), prog, source)
-    ts_target = _run(frame(pm.n), prog, target)
-    pulled: dict[int, int] = {}
-    cases = []
-    for f, i in zip(formulas, at):
-        back = pulled.get(ts_target[i])
-        if back is None:
-            back = pulled[ts_target[i]] = pm.pullback(ts_target[i])
-        diff = ts_source[i] ^ back
-        cases.append(TransferCase(f, not diff, (diff & -diff).bit_length() or None))
-    return TransferReport(tuple(cases))
+    ts_source = run_program(frame(pm.m), prog, source)
+    ts_target = run_program(frame(pm.n), prog, target)
+    pulled = {t: pm.pullback(t) for t in {ts_target[i] for i in at}}
+    return _report(formulas, [ts_source[i] ^ pulled[ts_target[i]] for i in at])
 
 
 def check_alpha_transfer(pm: PMorphism, u: Valuation, w: Valuation) -> TransferReport:
@@ -400,8 +392,8 @@ def transfer_check(pm: PMorphism, sigma: Substitution, u: Valuation,
         # an atom outside the domain stands for ``sigma.lookup``'s default, as in apply_subst
         names = sorted(set(domain).union(_program_atoms(prog)))
     _, images, _, image_at = _dag(*[sigma.lookup(p) for p in names])
-    ts_w = _run(frame(pm.m), images, w.map)
-    ts_u = _run(frame(pm.n), images, u.map)
+    ts_w = run_program(frame(pm.m), images, w.map)
+    ts_u = run_program(frame(pm.n), images, u.map)
     side_w = {p: ts_w[i] for p, i in zip(names, image_at)}
     side_u = {p: ts_u[i] for p, i in zip(names, image_at)}
     return _transfer(pm, test_formulas, prog, at, side_w, side_u)

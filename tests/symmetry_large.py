@@ -62,7 +62,7 @@ def full(fr, f):
 
 
 def reduced(fr, f):
-    medvedev._settled = None  # sweep, whatever came before
+    medvedev._compiled = None  # compile afresh and sweep, whatever came before
     return valid_on(fr, f, "exhaustive", budget=BUDGET)
 
 

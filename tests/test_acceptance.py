@@ -24,7 +24,6 @@ from medlog.medvedev import (
     refute,
     sample_valuation,
     truth_set,
-    upset_from_worlds,
     valid_on,
     dp_countermodel,
 )

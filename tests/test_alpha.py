@@ -10,7 +10,6 @@ from medlog.errors import UnknownAtomError
 from medlog.formula import (
     NEG_TOP,
     Neg,
-    TOP,
     apply_subst,
     big_or,
     parse,

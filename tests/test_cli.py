@@ -22,6 +22,8 @@ def test_parse_echo(capsys):
     code, out, _ = run(capsys, "parse", "~p->~q|~r")
     assert code == 0
     assert out == "~p -> ~q | ~r\n"
+    assert run(capsys, "parse", "--json", "~p->~q|~r") == (
+        0, '{\n  "formula": "~p -> ~q | ~r"\n}\n', "")
 
 
 def test_parse_syntax_error(capsys):
@@ -124,6 +126,12 @@ def test_prove_cl(capsys):
     code, out, _ = run(capsys, "prove-cl", "p -> q")
     assert code == 1
     assert "p=true" in out and "q=false" in out
+    assert run(capsys, "prove-cl", "--json", "p -> q") == (1, (
+        '{\n  "countermodel": {\n    "p": true,\n    "q": false\n  },\n'
+        '  "formula": "p -> q"\n}\n'), "")
+    wide = " | ".join(f"p{i}" for i in range(21))
+    assert run(capsys, "prove-cl", wide) == (
+        3, "", "error: 21 atoms exceeds the classical limit 20\n")
 
 
 def test_check_witness_json(capsys):
@@ -243,6 +251,9 @@ def test_subst_command(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "sigma(p) = ~~p1"
     assert lines[1] == "image: ~~p1 | ~~~p1"
+    assert run(capsys, "subst", "--json", "p | ~p", "--n", "2", "--valuation", str(path)) == (
+        0, '{\n  "image": "~~p1 | ~~~p1",\n  "n": 2,\n  "sigma": {\n    "p": "~~p1"\n  }\n}\n',
+        "")
 
 
 def test_subst_on_a_wide_universal_substitution(tmp_path, capsys):

@@ -199,7 +199,7 @@ def test_substitution_composition_agrees_with_sequential_application():
 # --- the shared DAG walk against the recursive memoized passes it replaced ---
 
 def _ref_compile(f):
-    from medlog.medvedev import _AND, _ATOM, _CONST, _IMP, _NEG, _OR
+    from medlog.formula import _AND, _ATOM, _CONST, _IMP, _NEG, _OR
 
     slots, prog = {}, []
 

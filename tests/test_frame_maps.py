@@ -71,7 +71,7 @@ def ref_admissibility_witness(premise, conclusion, max_n, *, validity_bound, cou
         return None
     fr, val = frame(found.n), found.valuation
     prog_p, prog_c = compile_formula(premise), compile_formula(conclusion)
-    separating = run_program(fr, prog_p, val.map) & ~run_program(fr, prog_c, val.map)
+    separating = run_program(fr, prog_p, val.map)[-1] & ~run_program(fr, prog_c, val.map)[-1]
     w = min(upset_worlds(separating), key=lambda w: (-w.bit_count(), w))
     restricted = ref_restrict_valuation(fr, w, val)
     k = restricted.frame.n
@@ -105,8 +105,8 @@ def ref_dp_countermodel(wit_left, wit_right):
 def ref_transfer_case(pm, f, source, target):
     """(ok, least world where ``x`` and ``pm.apply(x)`` disagree on ``f``)."""
     fr_m, prog = frame(pm.m), compile_formula(f)
-    ts_source = run_program(fr_m, prog, source.map)
-    ts_target = run_program(frame(pm.n), prog, target.map)
+    ts_source = run_program(fr_m, prog, source.map)[-1]
+    ts_target = run_program(frame(pm.n), prog, target.map)[-1]
     for x in fr_m.worlds():
         if bool(ts_source >> (x - 1) & 1) != bool(ts_target >> (pm.apply(x) - 1) & 1):
             return False, x

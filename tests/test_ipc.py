@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from medlog.errors import SearchBudgetError
+from medlog.errors import LimitError, SearchBudgetError
 from medlog.formula import (
     BOT,
     And,
@@ -154,6 +154,14 @@ def test_classical_countermodel_first_in_counting_order():
     assert classical_countermodel(parse("p | ~p")) is None
     assert classical_countermodel(parse("T")) is None
     assert classical_countermodel(parse("F")) == {}
+
+
+def test_classical_countermodel_atom_limit():
+    # 20 atoms sweep M_1; 21 are a LimitError before any sweep
+    assert classical_countermodel(big_or([Atom(f"p{i}") for i in range(20)])) == {
+        f"p{i}": False for i in range(20)}
+    with pytest.raises(LimitError, match="21 atoms exceeds the classical limit 20"):
+        classical_countermodel(big_or([Atom(f"p{i}") for i in range(21)]))
 
 
 def test_classical_countermodel_matches_assignment_loop():

@@ -62,8 +62,8 @@ def ref_random_formula(rng, atom_names, depth):
 def ref_transfer_case(pm, f, source, target):
     """One formula compiled and run once per frame, compared along the map."""
     prog = compile_formula(f)
-    ts_source = run_program(frame(pm.m), prog, source.map)
-    ts_target = run_program(frame(pm.n), prog, target.map)
+    ts_source = run_program(frame(pm.m), prog, source.map)[-1]
+    ts_target = run_program(frame(pm.n), prog, target.map)[-1]
     diff = ts_source ^ pm.pullback(ts_target)
     return TransferCase(f, not diff, (diff & -diff).bit_length() or None)
 
@@ -94,9 +94,9 @@ def ref_transfer_check(pm, sigma, u, w, test_formulas=None, *, count=100, seed=0
                          + [ref_random_formula(rng, domain, 4) for _ in range(count)])
     fr_m, fr_n = frame(pm.m), frame(pm.n)
     images = {p: compile_formula(sigma.lookup(p)) for p in domain}
-    side_u = Valuation(fr_n, {p: run_program(fr_n, prog, u.map)
+    side_u = Valuation(fr_n, {p: run_program(fr_n, prog, u.map)[-1]
                               for p, prog in images.items()})
-    side_w = Valuation(fr_m, {p: run_program(fr_m, prog, w.map)
+    side_w = Valuation(fr_m, {p: run_program(fr_m, prog, w.map)[-1]
                               for p, prog in images.items()})
     return TransferReport(tuple(ref_transfer_case(pm, chi, side_w, side_u)
                                 for chi in test_formulas))

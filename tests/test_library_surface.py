@@ -8,6 +8,9 @@ definition, in the harness or in README.md, so a parameter or local variable
 of the same name does not count.  Oracles that only tests call belong in
 ``tests/oracles.py``.  Dunder methods are called by Python itself and are
 exempt, and so are the methods in ``CALLED_BY_PYTHON``.
+
+Nor does a module of the library (``__init__.py`` aside, which re-exports)
+or of the tests import a name it never reads.
 """
 
 import ast
@@ -71,3 +74,27 @@ def test_every_library_function_is_reached_outside_the_tests():
     others = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "README.md"]
     unreached = unreached_definitions(ROOT / "src" / "medlog", others, medlog.__all__)
     assert [name for name in unreached if name not in CALLED_BY_PYTHON] == []
+
+
+def unread_imports(paths: list[Path]) -> list[str]:
+    """``file:line name`` of each name imported by one of ``paths`` that the
+    same file never reads; ``from __future__`` imports are directives."""
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return unread
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    src = [p for p in sorted((ROOT / "src" / "medlog").glob("*.py")) if p.name != "__init__.py"]
+    assert unread_imports(src + sorted((ROOT / "tests").glob("*.py"))) == []

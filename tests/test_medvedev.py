@@ -437,6 +437,24 @@ def test_witness_self_check_rejects_forced_world():
         RefutationWitness(2, val, world(1), Atom("p"))
 
 
+def test_witness_self_check_rejects_foreign_frame_and_world():
+    val = valuation(frame(2), {"p": []})
+    with pytest.raises(SelfCheckError, match="wrong frame"):
+        RefutationWitness(3, val, world(1), Atom("p"))
+    for w in (0, 4):
+        with pytest.raises(SelfCheckError, match=f"world mask {w} outside M_2"):
+            RefutationWitness(2, val, w, Atom("p"))
+
+
+def test_forces_rejects_a_world_outside_the_frame():
+    fr = frame(2)
+    val = valuation(fr, {"p": [world(1)]})
+    assert forces(fr, val, world(1), Atom("p")) and not forces(fr, val, 3, Atom("p"))
+    for w in (0, 4):
+        with pytest.raises(ValueError, match=f"world mask {w} outside M_2"):
+            forces(fr, val, w, Atom("p"))
+
+
 def test_witness_json_round_trip():
     wit = refute(parse("~~p -> p"), 2)
     obj = wit.to_obj()
@@ -464,7 +482,7 @@ def reference_sweep(fr, f):
     checked = 0
     for val in iter_valuations(fr, atoms(f)):
         checked += 1
-        bad = fr.all_worlds ^ run_program(fr, prog, val.map)
+        bad = fr.all_worlds ^ run_program(fr, prog, val.map)[-1]
         if bad:
             return False, checked, val.map, (bad & -bad).bit_length()
     return True, checked, None, None
@@ -548,7 +566,7 @@ def reference_sample(fr, f, count, seed):
     names = atoms(f)
     for i in range(count):
         val = sample_valuation(fr, names, rng)
-        bad = fr.all_worlds ^ run_program(fr, prog, val.map, count=1)
+        bad = fr.all_worlds ^ run_program(fr, prog, val.map, count=1)[-1]
         if bad:
             return False, i + 1, val.map, (bad & -bad).bit_length()
     return True, count, None, None
@@ -603,6 +621,20 @@ def test_long_program_sweep_stays_under_the_chunk_bit_cap(monkeypatch):
     assert len(seen) > 1 and all(bits <= medvedev._CHUNK_BITS for _, bits in seen)
 
 
+def test_streamed_sweep_without_symmetry_starts_from_one_valuation(monkeypatch):
+    # 17 atoms: 2**17 valuations of M_1, past one kept chunk, so streamed
+    wide = parse(" | ".join(f"p{i}" for i in range(17)))
+    seen = spy_run_program(monkeypatch)
+    res = valid_on(frame(1), wide)
+    # one call of one valuation, then the witness's self-check
+    assert (res.valid, res.checked, [count for count, _ in seen]) == (False, 1, [1, 1])
+    seen.clear()
+    res = valid_on(frame(1), Imp(wide, wide))
+    counts = [count for count, _ in seen]
+    assert (res.valid, res.checked, sum(counts)) == (True, 2 ** 17, 2 ** 17)
+    assert counts == [1 << i for i in range(17)] + [1]
+
+
 @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
 def test_capped_chunks_match_uncapped_sweeps(monkeypatch, mode):
     frames = (1, 2, 3) if mode == "exhaustive" else (2, 5, 8)
@@ -627,9 +659,9 @@ def test_packed_run_program_matches_single_calls():
             packed = {nm: sum(v.map[nm] << i * block for i, v in enumerate(vals))
                       for nm in names}
             prog = compile_formula(random_formula(rng, names, 5))
-            got = run_program(fr, prog, packed, count=k)
+            got = run_program(fr, prog, packed, count=k)[-1]
             for i, v in enumerate(vals):
-                assert got >> i * block & (1 << block) - 1 == run_program(fr, prog, v.map)
+                assert got >> i * block & (1 << block) - 1 == run_program(fr, prog, v.map)[-1]
             assert got >> k * block == 0
 
 
@@ -718,7 +750,7 @@ def full_sweep(fr, f):
 
 
 def reduced_sweep(monkeypatch, fr, f):
-    monkeypatch.setattr(medvedev, "_settled", None)  # sweep, whatever came before
+    monkeypatch.setattr(medvedev, "_compiled", None)  # compile afresh and sweep
     return outcome(valid_on(fr, f, "exhaustive"))
 
 
@@ -817,7 +849,7 @@ def test_settled_programs_match_fresh_sweeps(monkeypatch):
     calls = spy_run_program(monkeypatch)
 
     def fresh(fr, f, mode, **kwargs):
-        monkeypatch.setattr(medvedev, "_settled", None)
+        monkeypatch.setattr(medvedev, "_compiled", None)
         return valid_on(fr, f, mode, **kwargs)
 
     theorem, width2 = THREE_ATOMS[1], THREE_ATOMS[2]

@@ -6,9 +6,7 @@ import random
 import pytest
 
 from medlog.alpha import alpha_formulas, u_valuation, universal_subst
-from medlog.errors import SelfCheckError
 from medlog.formula import (
-    Atom,
     Substitution,
     apply_subst,
     atoms,
@@ -151,8 +149,8 @@ def reference_separation(premise, conclusion, max_n):
         fr = frame(n)
         # up to three atoms on M_1..M_3 fit the default budget, so the search sweeps
         for val in iter_valuations(fr, names):
-            sep = (run_program(fr, prog_p, val.map)
-                   & (fr.all_worlds ^ run_program(fr, prog_c, val.map)))
+            sep = (run_program(fr, prog_p, val.map)[-1]
+                   & (fr.all_worlds ^ run_program(fr, prog_c, val.map)[-1]))
             if sep:
                 w = max((w for w in fr.worlds() if sep >> (w - 1) & 1),
                         key=lambda w: (w.bit_count(), -w))
