@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import SelfCheckError
 from .formula import (
@@ -176,8 +176,7 @@ def _image(n: int, bits: int) -> Formula:
     return big_or([_alpha_I(n, w) for w in upset_worlds(bits)])
 
 
-@dataclass(frozen=True)
-class TransferCase:
+class TransferCase(NamedTuple):
     formula: Formula
     ok: bool
     world: int | None  # least world mask where the two sides disagree

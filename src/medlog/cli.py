@@ -3,6 +3,10 @@
 Exit codes: 0 established/valid/provable, 1 refuted/unprovable/witness
 found, 2 inconclusive, 3 usage or resource error.  Output is deterministic
 for a fixed command line (JSON is emitted with sorted keys).
+
+Verdicts become exit codes in two places: ``_certificate`` prints a found
+certificate (exit 1) or the message for none (exit 2), and ``main`` turns
+an exhausted search budget into exit 2 and every error into exit 3.
 """
 
 from __future__ import annotations
@@ -36,6 +40,15 @@ from .structural import (
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
+
+
+def _certificate(cert, miss: str) -> int:
+    """Print ``cert`` as JSON and exit 1, or ``miss`` and exit 2 when none was found."""
+    if cert is None:
+        print(miss)
+        return 2
+    _emit_json(cert.to_obj())
+    return 1
 
 
 def _load_json(path: str):
@@ -115,12 +128,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_prove_ipc(args) -> int:
-    f = _formula_arg(args)
-    try:
-        ok = ipc_provable(f, budget=args.budget)
-    except SearchBudgetError:
-        print("unknown (budget exhausted)")
-        return 2
+    ok = ipc_provable(_formula_arg(args), budget=args.budget)
     print("provable" if ok else "unprovable")
     return 0 if ok else 1
 
@@ -142,24 +150,17 @@ def _cmd_prove_cl(args) -> int:
 def _cmd_check(args) -> int:
     f = _formula_arg(args)
     res = valid_on(frame(args.n), f, args.mode, count=args.count, seed=args.seed)
-    if res.witness is not None:
-        _emit_json(res.witness.to_obj())
-        return 1
-    if res.exhaustive:
+    if res.exhaustive and res.witness is None:
         print(f"valid on M_{args.n} ({res.checked} valuations)")
         return 0
-    print(f"no counterexample found on M_{args.n} ({res.checked} sampled valuations)")
-    return 2
+    return _certificate(res.witness, f"no counterexample found on M_{args.n} "
+                                     f"({res.checked} sampled valuations)")
 
 
 def _cmd_refute(args) -> int:
     f = _formula_arg(args)
     wit = refute(f, args.max_n, args.strategy, count=args.count, seed=args.seed)
-    if wit is not None:
-        _emit_json(wit.to_obj())
-        return 1
-    print(f"no refutation found up to M_{args.max_n}")
-    return 2
+    return _certificate(wit, f"no refutation found up to M_{args.max_n}")
 
 
 def _cmd_alpha(args) -> int:
@@ -212,36 +213,23 @@ def _cmd_witness(args) -> int:
         premise, conclusion, args.max_n,
         validity_bound=args.validity_bound, count=args.count, seed=args.seed,
     )
-    if wit is not None:
-        _emit_json(wit.to_obj())
-        return 1
-    print(f"no separating valuation found up to M_{args.max_n}")
-    return 2
+    return _certificate(wit, f"no separating valuation found up to M_{args.max_n}")
 
 
 def _cmd_levin(args) -> int:
     f = _formula_arg(args)
     dec = levin_decomposition(f, args.max_n, count=args.count, seed=args.seed)
-    if dec is not None:
-        _emit_json(dec.to_obj())
-        return 1
-    print(f"no refutation found up to M_{args.max_n}")
-    return 2
+    return _certificate(dec, f"no refutation found up to M_{args.max_n}")
 
 
 def _cmd_dp(args) -> int:
     left = parse(args.left)
     right = parse(args.right)
     wl = refute(left, args.max_n, count=args.count, seed=args.seed)
-    if wl is None:
-        print(f"left formula not refuted up to M_{args.max_n}")
-        return 2
-    wr = refute(right, args.max_n, count=args.count, seed=args.seed)
-    if wr is None:
-        print(f"right formula not refuted up to M_{args.max_n}")
-        return 2
-    _emit_json(dp_countermodel(wl, wr).to_obj())
-    return 1
+    wr = None if wl is None else refute(right, args.max_n, count=args.count, seed=args.seed)
+    side = "left" if wl is None else "right"
+    return _certificate(None if wr is None else dp_countermodel(wl, wr),
+                        f"{side} formula not refuted up to M_{args.max_n}")
 
 
 def _cmd_pmorphism(args) -> int:
@@ -297,87 +285,81 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache  # built on first use, not at import
 def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="medlog", description=__doc__)
+    # the docstring's last paragraph speaks to readers of this file, not of --help
+    top = _Parser(prog="medlog", description=__doc__.rsplit("\n\n", 1)[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, takes_formula=False):
+    sampled, printable = [], []  # given --count/--seed or --json after their own options
+
+    def add(name, func, help_, takes_formula=False, shared=None):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
         if takes_formula:
             p.add_argument("formula", nargs="?")
             p.add_argument("--file", help="read the formula from this file instead")
+        if shared is not None:
+            shared.append(p)
         return p
 
-    p = add("parse", _cmd_parse, "parse and reprint a formula", takes_formula=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("rank", _cmd_rank, "disjunct count of the normal form, or inf",
-            takes_formula=True)
-    p.add_argument("--json", action="store_true")
+    add("parse", _cmd_parse, "parse and reprint a formula", takes_formula=True,
+        shared=printable)
+    add("rank", _cmd_rank, "disjunct count of the normal form, or inf", takes_formula=True,
+        shared=printable)
 
     p = add("normalize", _cmd_normalize, "normal-form bodies plus verification",
-            takes_formula=True)
+            takes_formula=True, shared=printable)
     p.add_argument("--verify-bound", type=int, default=3,
                    help="verify on frames up to this size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
 
-    p = add("prove-ipc", _cmd_prove_ipc, "intuitionistic provability",
-            takes_formula=True)
+    p = add("prove-ipc", _cmd_prove_ipc, "intuitionistic provability", takes_formula=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = add("prove-cl", _cmd_prove_cl, "classical validity", takes_formula=True)
-    p.add_argument("--json", action="store_true")
+    add("prove-cl", _cmd_prove_cl, "classical validity", takes_formula=True, shared=printable)
 
-    p = add("check", _cmd_check, "validity on one frame", takes_formula=True)
+    p = add("check", _cmd_check, "validity on one frame", takes_formula=True, shared=sampled)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("refute", _cmd_refute, "scan frames for a refutation witness",
-            takes_formula=True)
+            takes_formula=True, shared=sampled)
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--strategy", choices=("auto", "exhaustive", "sample"), default="auto")
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = add("alpha", _cmd_alpha, "the n-member family and its universal valuation")
+    p = add("alpha", _cmd_alpha, "the n-member family and its universal valuation",
+            shared=printable)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
     p = add("subst", _cmd_subst, "apply the substitution induced by a valuation",
-            takes_formula=True)
+            takes_formula=True, shared=printable)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--valuation", required=True, metavar="FILE",
                    help="JSON file mapping atoms to lists of generator lists")
-    p.add_argument("--json", action="store_true")
 
-    p = add("witness", _cmd_witness, "admissibility witness for a rule")
+    p = add("witness", _cmd_witness, "admissibility witness for a rule", shared=sampled)
     p.add_argument("--premise", required=True)
     p.add_argument("--conclusion", required=True)
     p.add_argument("--max-n", type=int, default=3)
     p.add_argument("--validity-bound", type=int, default=4)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("levin", _cmd_levin, "refute and decompose into negation bodies",
-            takes_formula=True)
+            takes_formula=True, shared=sampled)
     p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = add("dp", _cmd_dp, "combined countermodel for a disjunction")
+    p = add("dp", _cmd_dp, "combined countermodel for a disjunction", shared=sampled)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("pmorphism", _cmd_pmorphism, "verify a world map between frames")
     p.add_argument("--check", required=True, metavar="FILE",
                    help="JSON file with m, n, and map or point_map")
 
+    for p in sampled:
+        p.add_argument("--count", type=int, default=1000)
+        p.add_argument("--seed", type=int, default=0)
+    for p in printable:
+        p.add_argument("--json", action="store_true")
     return top
 
 
@@ -392,8 +374,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 3
-    except SearchBudgetError as exc:
-        print(f"search budget exhausted: {exc}", file=sys.stderr)
+    except SearchBudgetError:
+        print("unknown (budget exhausted)")
         return 2
     except SelfCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -81,10 +81,6 @@ class MedvedevFrame:
     def worlds(self) -> range:
         return range(1, self.world_count + 1)
 
-    def le(self, a: World, b: World) -> bool:
-        """a <= b: the generator set of b is contained in that of a."""
-        return a | b == a
-
     def bottom(self) -> World:
         return self.world_count
 

@@ -249,7 +249,8 @@ def check_pmorphism(pm: PMorphism) -> PMorphismReport:
     submasks of its generator set, so ``M_m`` costs ``3**m`` pairs.
     The back condition uses the canonical candidate: for ``y`` above the
     image of ``x``, keep exactly the generators of ``x`` whose point images
-    lie in ``y``; that world must sit above ``x`` and map onto ``y``.
+    lie in ``y``; that world, above ``x`` whenever it is not empty, must map
+    onto ``y``.
     A map that is not a total map from ``M_m`` into ``M_n`` is rejected with
     ``ValueError``.
     """
@@ -279,7 +280,7 @@ def check_pmorphism(pm: PMorphism) -> PMorphismReport:
                 img = point_images[g - 1]
                 if img & y == img:
                     candidate |= 1 << (g - 1)
-            if candidate == 0 or not fr_m.le(x, candidate) or pm.apply(candidate) != y:
+            if candidate == 0 or pm.apply(candidate) != y:
                 violations.append(("back", x, y))
             y = (y - 1) & fx
             if y == 0:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from medlog.errors import UnknownAtomError
+from medlog.errors import SelfCheckError, UnknownAtomError
 from medlog.formula import (
     NEG_TOP,
     Neg,
@@ -16,6 +16,7 @@ from medlog.formula import (
     render,
 )
 from medlog.alpha import (
+    _validate,
     alpha_I,
     alpha_formulas,
     u_valuation,
@@ -127,6 +128,13 @@ def test_maximal_worlds_force_exactly_their_member():
             for j, a in enumerate(alpha_formulas(n).formulas, start=1):
                 forced = bool(truth_set(fr, u, a) >> (world(i) - 1) & 1)
                 assert forced == (i == j), (n, i, j)
+
+
+def test_validation_rejects_a_valuation_that_swaps_members():
+    # p1 true at world {2} only: world {1} forces ~p1, the member of world {2}
+    fr = frame(2)
+    with pytest.raises(SelfCheckError, match="maximal world 1 and member 1 disagree"):
+        _validate(valuation(fr, {"p1": [world(2)]}), full=False)
 
 
 def test_membership_law_explicit():

@@ -1,13 +1,16 @@
 """End-to-end command behaviour: exit codes, goldens, and determinism."""
 
+import argparse
 import hashlib
 import json
 import random
 
 import pytest
 
-from medlog.cli import main
+from medlog.cli import build_parser, main
+from medlog.errors import SearchBudgetError, SelfCheckError
 from medlog.formula import parse, render
+from medlog.kpform import kp_normalize, verify_normal_form
 from medlog.medvedev import frame
 from oracles import witness_from_obj
 
@@ -475,6 +478,72 @@ def test_unexpected_exception_exits_3_not_1(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err.startswith("internal error: RuntimeError")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("error, expected", [
+    (SelfCheckError("bad certificate"), (3, "", "internal check failed: bad certificate\n")),
+    (SearchBudgetError("out"), (2, "unknown (budget exhausted)\n", "")),
+])
+def test_main_turns_library_errors_into_exit_codes(capsys, monkeypatch, error, expected):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("medlog.cli.levin_decomposition", fail)
+    assert run(capsys, "levin", "p | ~p") == expected
+
+
+def test_normalize_without_a_prover_verdict_still_passes(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise SearchBudgetError("out")
+
+    monkeypatch.setattr("medlog.kpform.ipc_provable", exhausted)
+    f = parse("~p | ~q")
+    report = verify_normal_form(f, kp_normalize(f))
+    assert report.ipc_equivalent is None and report.ok
+    code, out, _ = run(capsys, "normalize", "~p | ~q")
+    assert code == 0
+    assert "disjuncts: 2 (rank matches)" in out
+    assert "intuitionistically equivalent" not in out
+
+
+# (option strings, dest, default, choices, required) of each subcommand's
+# actions in order; --help's layout varies across Python versions, this does not
+_H = (("-h", "--help"), "help", argparse.SUPPRESS, None, False)
+_FORMULA = [((), "formula", None, None, False), (("--file",), "file", None, None, False)]
+_JSON = (("--json",), "json", False, None, False)
+_SAMPLED = [(("--count",), "count", 1000, None, False), (("--seed",), "seed", 0, None, False)]
+PARSERS = {
+    "parse": [_H, *_FORMULA, _JSON],
+    "rank": [_H, *_FORMULA, _JSON],
+    "normalize": [_H, *_FORMULA, (("--verify-bound",), "verify_bound", 3, None, False),
+                  (("--seed",), "seed", 0, None, False), _JSON],
+    "prove-ipc": [_H, *_FORMULA, (("--budget",), "budget", 1_000_000, None, False)],
+    "prove-cl": [_H, *_FORMULA, _JSON],
+    "check": [_H, *_FORMULA, (("--n",), "n", None, None, True),
+              (("--mode",), "mode", "exhaustive", ("exhaustive", "sample"), False), *_SAMPLED],
+    "refute": [_H, *_FORMULA, (("--max-n",), "max_n", 4, None, False),
+               (("--strategy",), "strategy", "auto", ("auto", "exhaustive", "sample"), False),
+               *_SAMPLED],
+    "alpha": [_H, (("--n",), "n", None, None, True), _JSON],
+    "subst": [_H, *_FORMULA, (("--n",), "n", None, None, True),
+              (("--valuation",), "valuation", None, None, True), _JSON],
+    "witness": [_H, (("--premise",), "premise", None, None, True),
+                (("--conclusion",), "conclusion", None, None, True),
+                (("--max-n",), "max_n", 3, None, False),
+                (("--validity-bound",), "validity_bound", 4, None, False), *_SAMPLED],
+    "levin": [_H, *_FORMULA, (("--max-n",), "max_n", 4, None, False), *_SAMPLED],
+    "dp": [_H, (("--left",), "left", None, None, True), (("--right",), "right", None, None, True),
+           (("--max-n",), "max_n", 4, None, False), *_SAMPLED],
+    "pmorphism": [_H, (("--check",), "check", None, None, True)],
+}
+
+
+def test_each_subcommand_parser_is_pinned():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    got = {name: [(tuple(a.option_strings), a.dest, a.default, a.choices, a.required)
+                  for a in parser._actions] for name, parser in commands.items()}
+    assert list(got.items()) == list(PARSERS.items())
 
 
 _FUZZ_COMMANDS = [

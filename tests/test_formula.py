@@ -82,6 +82,12 @@ def test_render_inverse_of_parse_goldens():
         assert render(parse(text)) == text
 
 
+def test_repr_is_the_rendered_text():
+    for text in ["p", "F", "T", "~p", "p & q", "p | q", "(p -> q) -> r"]:
+        f = parse(text)
+        assert repr(f) == render(f) == text
+
+
 def test_render_parenthesizes_left_nesting_only_when_needed():
     p, q, r = Atom("p"), Atom("q"), Atom("r")
     assert render(Or(Or(p, q), r)) == "(p | q) | r"

@@ -46,7 +46,7 @@ from medlog.medvedev import (
 )
 from medlog.randgen import random_formula
 
-from oracles import (down_bits, full_order_chunks, is_maximal, persistence_check,
+from oracles import (down_bits, full_order_chunks, is_maximal, le, persistence_check,
                      witness_from_obj)
 
 
@@ -61,7 +61,7 @@ def naive_upsets(n):
     for r in range(len(worlds) + 1):
         for combo in itertools.combinations(worlds, r):
             ws = set(combo)
-            if all(v in ws for w in ws for v in worlds if fr.le(w, v)):
+            if all(v in ws for w in ws for v in worlds if le(w, v)):
                 found.append(upset_from_worlds(fr, ws))
     return sorted(found)
 
@@ -95,7 +95,7 @@ def ref_enumerate_upsets(fr):
 
 def naive_forces(fr, val, w, f):
     """Textbook forcing clauses with explicit successor quantification."""
-    succ = [v for v in fr.worlds() if fr.le(w, v)]
+    succ = [v for v in fr.worlds() if le(w, v)]
     match f:
         case Atom(name):
             return bool(val.map[name] >> (w - 1) & 1)
@@ -133,12 +133,12 @@ def test_world_encoding():
 
 def test_order_is_reverse_inclusion():
     fr = frame(3)
-    assert fr.le(world(1, 2, 3), world(1))
-    assert fr.le(world(1, 2), world(2))
-    assert not fr.le(world(1), world(1, 2))
-    assert not fr.le(world(1, 2), world(3))
+    assert le(world(1, 2, 3), world(1))
+    assert le(world(1, 2), world(2))
+    assert not le(world(1), world(1, 2))
+    assert not le(world(1, 2), world(3))
     assert fr.bottom() == world(1, 2, 3)
-    assert all(fr.le(fr.bottom(), w) for w in fr.worlds())
+    assert all(le(fr.bottom(), w) for w in fr.worlds())
 
 
 def test_maximal_worlds_are_singletons():
@@ -839,6 +839,11 @@ def test_lex_leaders_are_the_least_valuations_of_their_orbits(n, k):
     got = [start + i for start, count, size in medvedev._leader_pieces(n, k)
            for i in range(count * size)]
     assert got == sorted(least)
+
+
+def test_no_permutation_tables_past_the_largest_symmetric_frame():
+    assert len(medvedev._perm_tables(3)) == 5  # 3! permutations but the identity
+    assert medvedev._perm_tables(6) == ()
 
 
 SETTLE_MODES = [("exhaustive", {}), ("sample", {"count": 37, "seed": 4}), ("auto", {}),

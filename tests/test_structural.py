@@ -1,11 +1,13 @@
 """Decomposition, admissibility witnesses, and point maps between frames."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
 from medlog.alpha import alpha_formulas, u_valuation, universal_subst
+from medlog.errors import SelfCheckError
 from medlog.formula import (
     Substitution,
     apply_subst,
@@ -86,6 +88,15 @@ def test_levin_double_negation_shift():
     assert dec.n == 2
     # every body has a classical model, rechecked by the constructor
     assert len(dec.countermodels) == len(dec.bodies)
+
+
+def test_levin_decomposition_checks_its_countermodels():
+    dec = levin_decomposition(parse("p | ~p"), 2)
+    with pytest.raises(SelfCheckError, match="one countermodel per body"):
+        dataclasses.replace(dec, countermodels=dec.countermodels[:-1])
+    # the bodies are ~p1 and ~~p1, so each one's countermodel falsifies the other
+    with pytest.raises(SelfCheckError, match="does not satisfy body"):
+        dataclasses.replace(dec, countermodels=dec.countermodels[::-1])
 
 
 def test_levin_none_for_theorems():
