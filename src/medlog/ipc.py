@@ -9,17 +9,26 @@ number of sequent expansions; exhausting it raises ``SearchBudgetError``
 rather than returning a wrong answer.
 
 ``classically_valid`` / ``classical_countermodel`` sweep truth tables on ``M_1``.
+IPC is contained in classical logic, so ``ipc_provable`` first sweeps ``M_1``
+for a formula of at most ``_PRECHECK_ATOMS`` atoms and answers False on a
+countermodel without a search; a formula whose compile entry already records
+a valid exhaustive sweep is not swept again.  Every True comes from the search.
 """
 
 from __future__ import annotations
 
 from .errors import LimitError, SearchBudgetError
 from .formula import _AND, _ATOM, _CONST, _IMP, _NEG, _OR, Formula, _program_atoms
-from .medvedev import _sweep, _valuation_chunks, compile_formula, frame
+from .medvedev import (RefutationWitness, _compile_entry, _sweep, _valuation_chunks,
+                       compile_formula, frame)
 
 DEFAULT_BUDGET = 10**6
 
 MAX_CLASSICAL_ATOMS = 20
+
+# ipc_provable sweeps M_1 first only up to this many atoms (2**12 valuations):
+# past it the truth table can cost more than the search it would cut short
+_PRECHECK_ATOMS = 12
 
 
 def _run(search) -> bool:
@@ -143,28 +152,49 @@ class _Prover:
         return False
 
 
+def _m1_witness(f: Formula, entry: list, names: list[str]) -> RefutationWitness | None:
+    """The first valuation of ``M_1`` falsifying ``f``, in binary counting
+    order over ``names``, or None; ``entry`` is ``f``'s compile entry.
+
+    ``M_1`` is classical logic (one world; up-sets empty and full), and its
+    sweep varies the last atom fastest, so the atoms go in reversed.  An
+    entry that records a valid exhaustive sweep answers None without a sweep:
+    ``M_1`` is a subframe of every frame.
+    """
+    if entry[2]:
+        return None
+    fr, prog = frame(1), entry[1]
+    return _sweep(fr, f, prog, _valuation_chunks(fr, names[::-1], len(prog)))[1]
+
+
 def ipc_provable(f: Formula, budget: int = DEFAULT_BUDGET) -> bool:
     """Intuitionistic provability of ``f``; raises SearchBudgetError if unsure
-    and ValueError for a negative budget."""
+    and ValueError for a negative budget.
+
+    A formula of at most ``_PRECHECK_ATOMS`` atoms with a classical
+    countermodel is False without a search (no sweep runs when its compile
+    entry already records a valid exhaustive one); otherwise the search runs,
+    ``budget`` counts its sequent expansions, and every True comes from it.
+    """
     if budget < 0:
         raise ValueError(f"search budget must be non-negative, got {budget}")
+    # the entry rather than compile_formula, which the search's intern calls
+    entry = _compile_entry(f)
+    names = _program_atoms(entry[1])
+    if len(names) <= _PRECHECK_ATOMS and _m1_witness(f, entry, names) is not None:
+        return False
     p = _Prover(budget)
     return _run(p.prove([], frozenset(), (), p.intern(f)))
 
 
 def classical_countermodel(f: Formula) -> dict[str, bool] | None:
-    """First falsifying assignment in binary counting order, or None.
-
-    ``M_1`` is classical logic (one world; up-sets empty and full), and its
-    sweep varies the last atom fastest, so the atoms go in reversed.
-    """
-    prog = compile_formula(f)
-    names = _program_atoms(prog)
+    """First falsifying assignment in binary counting order, or None;
+    ``LimitError`` past ``MAX_CLASSICAL_ATOMS`` atoms."""
+    names = _program_atoms(compile_formula(f))
     if len(names) > MAX_CLASSICAL_ATOMS:
         raise LimitError(f"{len(names)} atoms exceeds the classical limit "
                          f"{MAX_CLASSICAL_ATOMS}")
-    fr = frame(1)
-    _, wit = _sweep(fr, f, prog, _valuation_chunks(fr, names[::-1], len(prog)))
+    wit = _m1_witness(f, _compile_entry(f), names)
     if wit is None:
         return None
     return {nm: bool(wit.valuation.map[nm]) for nm in names}

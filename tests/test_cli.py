@@ -94,6 +94,18 @@ def test_prove_ipc_negative_budget_is_a_usage_error(capsys):
         2, "unknown (budget exhausted)\n", "")
 
 
+def test_prove_ipc_refutes_on_m1_before_the_search(capsys):
+    # a classical countermodel answers without spending budget; the 4-cycle
+    # de Bruijn formula takes the search 255 expansions to refute
+    assert run(capsys, "prove-ipc", "--budget", "0", "p -> q") == (1, "unprovable\n", "")
+    c = "(p0 & p1 & p2 & p3)"
+    cycle = " & ".join(f"((p{i} -> p{(i + 1) % 4}) & (p{(i + 1) % 4} -> p{i}) -> {c})"
+                       for i in range(4))
+    for budget in ("200", "1000000"):
+        assert run(capsys, "prove-ipc", "--budget", budget, f"{cycle} -> {c}") == (
+            1, "unprovable\n", "")
+
+
 def test_prove_ipc_on_a_3000_member_disjunction(tmp_path, capsys):
     path = tmp_path / "chain.txt"
     path.write_text("(" + " | ".join(["F"] * 2999 + ["p"]) + ") -> p\n")

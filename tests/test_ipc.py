@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from medlog import ipc, medvedev
 from medlog.errors import LimitError, SearchBudgetError
 from medlog.formula import (
     BOT,
@@ -31,6 +32,7 @@ from medlog.ipc import (
     ipc_provable,
 )
 from medlog.kpform import kp_normalize
+from medlog.medvedev import frame, valid_on
 from medlog.randgen import random_formula
 
 from oracles import random_finite_rank_formula
@@ -358,6 +360,72 @@ def test_interned_prover_matches_recursive_reference():
             assert got == want, (budget, render(f))
             exhausted += want[0] == "budget"
         assert (exhausted == 0) == (budget == 10**6), budget
+
+
+def test_classical_precheck_agrees_with_the_search_it_precedes():
+    # where the search finishes, the same verdict; where it runs out, False
+    # exactly when M_1 has a countermodel
+    corpus = _differential_corpus()
+    for budget in (10**6, 50, 7):
+        outcomes = {"search": 0, "precheck": 0, "budget": 0}
+        for f in corpus:
+            p = _Prover(budget)
+            try:
+                want = _run(p.prove([], frozenset(), (), p.intern(f)))
+            except SearchBudgetError:
+                want = None
+            try:
+                got = ipc_provable(f, budget)
+            except SearchBudgetError:
+                got = "budget"
+            if want is not None:
+                assert got == want, (budget, render(f))
+                outcomes["search"] += 1
+            elif classical_countermodel(f) is not None:
+                assert got is False, (budget, render(f))
+                outcomes["precheck"] += 1
+            else:
+                assert got == "budget", (budget, render(f))
+                outcomes["budget"] += 1
+        assert outcomes["search"] > 0, budget
+        assert (outcomes["precheck"] > 0 and outcomes["budget"] > 0) == (budget != 10**6), (
+            budget, outcomes)
+
+
+def test_classical_precheck_sweeps_only_unsettled_formulas_within_its_bound(monkeypatch):
+    real, sweeps = medvedev.run_program, []
+
+    def spy(fr, *args, **kwargs):
+        sweeps.append(fr.n)
+        return real(fr, *args, **kwargs)
+    monkeypatch.setattr(medvedev, "run_program", spy)
+
+    # settled on M_3 by an exhaustive valid_on sweep: no M_1 sweep
+    settled = parse("(p -> q) -> ~q -> ~p")
+    assert valid_on(frame(3), settled).valid
+    sweeps.clear()
+    assert ipc_provable(settled) is True
+    assert sweeps == []
+
+    # at the bound the sweep answers before the search spends any budget,
+    # and its witness checks itself (a second M_1 evaluation)
+    k = ipc._PRECHECK_ATOMS
+    assert ipc_provable(big_or([Atom(f"p{i}") for i in range(k)]), budget=0) is False
+    assert sweeps == [1, 1]
+
+    # one atom past it the search runs alone, as it does at 21 atoms, one
+    # past the classical limit, where no LimitError is raised
+    sweeps.clear()
+    past = big_or([Atom(f"p{i}") for i in range(k + 1)])
+    with pytest.raises(SearchBudgetError):
+        ipc_provable(past, budget=0)
+    assert ipc_provable(past) is False
+    assert ipc_provable(big_or([Atom(f"p{i}") for i in range(21)])) is False
+    assert sweeps == []
+
+    # a classically valid formula is swept once, then left to the search
+    assert ipc_provable(parse("((p -> q) -> p) -> p")) is False
+    assert sweeps == [1]
 
 
 class _RefProverWithoutIdentity(_RefProver):
