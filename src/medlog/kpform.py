@@ -179,7 +179,6 @@ def kp_normalize(f: Formula) -> NegDisjunction:
 @dataclass(frozen=True)
 class NormalFormReport:
     formula: Formula
-    disjunct_count: int
     rank_matches: bool
     frame_checks: tuple[FrameCheck, ...]
     needs_weak_kp: bool
@@ -224,7 +223,6 @@ def verify_normal_form(f: Formula, nd: NegDisjunction, bound: int = 3, *,
     rank = kp_rank(f)
     return NormalFormReport(
         formula=f,
-        disjunct_count=len(nd),
         rank_matches=rank.value == len(nd),
         frame_checks=checks,
         needs_weak_kp=needs_weak_kp,

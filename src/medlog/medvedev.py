@@ -15,6 +15,8 @@ under non-empty submasks.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -196,7 +198,8 @@ def enumerate_upsets(fr: MedvedevFrame) -> Iterator[UpSet]:
     if fr.n > MAX_EXHAUSTIVE_N:
         raise LimitError(f"up-set enumeration supports n <= {MAX_EXHAUSTIVE_N}")
     h = 1 << (fr.n - 1)
-    prev = _upset_list(fr.n - 1) if fr.n > 1 else (0,)  # no worlds: only the empty set
+    # a list, as the inner loop reads it once per ``hi`` and an array boxes every int it yields
+    prev = _upset_list(fr.n - 1).tolist() if fr.n > 1 else [0]  # no worlds: the empty set
     for hi in prev:
         for c in range(bool(hi), 2):
             base = c << (h - 1) | hi << h
@@ -204,8 +207,12 @@ def enumerate_upsets(fr: MedvedevFrame) -> Iterator[UpSet]:
 
 
 @lru_cache(maxsize=8)
-def _upset_list(n: int) -> tuple[UpSet, ...]:
-    return tuple(enumerate_upsets(frame(n)))
+def _upset_list(n: int) -> array:
+    """``enumerate_upsets`` as unsigned ints one block wide, the frame's one
+    up-set table: the sweep order, the index to bisect, ``_period(n, 1)``'s bytes."""
+    # no typecode fits a block past M_6, whose enumeration raises LimitError instead
+    code = next((c for c in "BHILQ" if array(c).itemsize == _block_bits(n) // 8), "B")
+    return array(code, enumerate_upsets(frame(n)))
 
 
 # --- valuations ---------------------------------------------------------------
@@ -300,6 +307,8 @@ def run_program(fr: MedvedevFrame, prog: list[tuple], atom_bits: Mapping[str, Up
 
 def truth_set(fr: MedvedevFrame, val: Valuation, f: Formula) -> int:
     """Bitset of worlds forcing ``f``."""
+    if val.frame.n != fr.n:
+        raise ValueError(f"valuation lives on {val.frame!r}, not {fr!r}")
     return run_program(fr, compile_formula(f), val.map)[-1]
 
 
@@ -404,18 +413,12 @@ _MAX_SYMMETRY_N = 5
 def _swap_table(n: int, i: int) -> tuple[int, ...]:
     """Up-set indices of ``M_n`` under swapping generators ``i`` and
     ``i + 1`` (0-based): a world holding just one of the two moves up or
-    down by ``2**i`` masks."""
-    ups = _upset_list(n)
-    index = {bits: j for j, bits in enumerate(ups)}
-    lo, hi = 1 << i, 2 << i
-    rise = fall = 0  # worlds, by bit ``mask - 1``, holding only i / only i + 1
-    for m in range(1, 1 << n):
-        if m & (lo | hi) == lo:
-            rise |= 1 << (m - 1)
-        elif m & (lo | hi) == hi:
-            fall |= 1 << (m - 1)
-    stay = ~(rise | fall)
-    return tuple(index[b & stay | (b & rise) << lo | (b & fall) >> lo] for b in ups)
+    down by ``2**i`` masks; images are bisected in ``_upset_list(n)``."""
+    ups, lo = _upset_list(n), 1 << i
+    # the worlds holding i and not i + 1, by bit ``mask - 1``; ``rise << lo`` the reverse
+    rise = sum(1 << (m - 1) for m in range(1, 1 << n) if m >> i & 3 == 1)
+    stay = ~(rise | rise << lo)
+    return tuple(bisect_left(ups, b & stay | (b & rise) << lo | b >> lo & rise) for b in ups)
 
 
 @lru_cache(maxsize=8)
@@ -535,46 +538,45 @@ def _chunks(pieces: Iterable[tuple[int, int, int]], u: int, cap: int,
         yield chunk
 
 
-@lru_cache(maxsize=8)
-def _upset_bytes(n: int) -> tuple[bytes, ...]:
-    size = _block_bits(n) // 8
-    return tuple(bits.to_bytes(size, "little") for bits in _upset_list(n))
-
-
 @lru_cache(maxsize=16)
 def _period(n: int, stride: int) -> bytes:
-    """Every up-set of ``M_n`` in order, each over ``stride`` valuations."""
-    return b"".join([b * stride for b in _upset_bytes(n)])
+    """Every up-set of ``M_n`` in order, each over ``stride`` valuations, in
+    little-endian bytes: for ``stride`` 1 those of ``_upset_list(n)``."""
+    if stride > 1:
+        ups, size = _period(n, 1), _block_bits(n) // 8
+        return b"".join([ups[j:j + size] * stride for j in range(0, len(ups), size)])
+    table = _upset_list(n)
+    if sys.byteorder == "big":
+        table = array(table.typecode, table)
+        table.byteswap()
+    return table.tobytes()
 
 
 def _atom_value(n: int, stride: int, runs: list[tuple[int, int]]) -> int:
     """The packed up-sets, over the aligned ``runs`` of a chunk, of the atom
-    with ``stride`` valuations per up-set.  A run holds one up-set of the
-    atom throughout, a range of them, or whole periods; one up-set held
-    over consecutive runs is written once."""
-    ups = _upset_bytes(n)
-    u = len(ups)
+    with ``stride`` valuations per up-set, as slices of ``_period(n, 1)``.  A
+    run holds one up-set of the atom throughout, a range of them, or whole
+    periods; one up-set held over consecutive runs is written once."""
+    ups, u = _period(n, 1), len(_upset_list(n))
+    size = len(ups) // u
     parts = []
-    held, span = 0, 0  # the up-set held over the runs so far, and for how many
+    held, span = 0, 0  # the up-set held over the runs so far, by offset, and for how many
     for start, length in runs:
-        first = start // stride % u
-        if length <= stride:
-            if first != held and span:
-                parts.append(ups[held] * span)
-                span = 0
-            held = first
-            span += length
-            continue
-        if span:
-            parts.append(ups[held] * span)
+        first, count = start // stride % u * size, length // stride
+        if span and (first != held or length > stride):
+            parts.append(ups[held:held + size] * span)
             span = 0
-        count = length // stride
-        if count > u:
+        if length <= stride:
+            held, span = first, span + length
+        elif count > u:
             parts.append(_period(n, stride) * (count // u))
+        elif stride == 1:
+            parts.append(ups[first:first + count * size])
         else:
-            parts.extend([b * stride for b in ups[first:first + count]])
+            parts.extend([ups[j:j + size] * stride
+                          for j in range(first, first + count * size, size)])
     if span:
-        parts.append(ups[held] * span)
+        parts.append(ups[held:held + size] * span)
     return int.from_bytes(b"".join(parts), "little")
 
 
@@ -656,7 +658,7 @@ def _sweep(fr: MedvedevFrame, f: Formula, prog: list[tuple],
 
 def _covered(fr: MedvedevFrame, names: list[str], wit: RefutationWitness | None) -> int:
     """Valuations up to and including the witness in ``iter_valuations``
-    order, or all of them without one."""
+    order, or all of them without one, bisecting ``_upset_list``."""
     ups = _upset_list(fr.n)
     if wit is None:
         return len(ups) ** len(names)

@@ -7,6 +7,8 @@ reference implementations that quantify over whole powersets.
 import itertools
 import random
 import tracemalloc
+from array import array
+from bisect import bisect_left
 
 import pytest
 
@@ -227,9 +229,22 @@ def test_enumeration_ascending_and_valid():
         prev = bits
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_upset_table_is_the_sequence_the_index_and_the_bytes(n):
+    table, size = medvedev._upset_list(n), medvedev._block_bits(n) // 8
+    assert isinstance(table, array) and table.itemsize == size
+    assert tuple(table) == tuple(enumerate_upsets(frame(n)))
+    for stride in (1, 2, 3):
+        assert medvedev._period(n, stride) == b"".join(
+            x.to_bytes(size, "little") * stride for x in table), stride
+    assert all(bisect_left(table, x) == j for j, x in enumerate(table))
+
+
 def test_enumeration_rejects_large_n():
     with pytest.raises(LimitError):
         list(enumerate_upsets(frame(7)))
+    with pytest.raises(LimitError):
+        next(iter_valuations(frame(7), ["p"]))
 
 
 # --- forcing ------------------------------------------------------------
@@ -390,11 +405,12 @@ def decode_chunks(fr, chunks):
 
 @pytest.mark.parametrize("bound", [3, 7])
 def test_iter_valuations_matches_packed_sweep_decoding(monkeypatch, bound):
-    # bound 3 splits an atom's range on M_2 (5 up-sets), both split it on M_3 (19)
+    # bound 3 splits an atom's range on M_2 (5 up-sets), both split it on M_3
+    # (19); M_4 and M_5 pack blocks of 2 and 4 bytes
     monkeypatch.setattr(medvedev, "_CHUNK_VALUATIONS", bound)
-    for n in (1, 2, 3):
+    for n, atom_count in ((1, 3), (2, 3), (3, 3), (4, 2), (5, 1)):
         fr = frame(n)
-        for names in ([], ["p"], ["p", "q"], ["p", "q", "r"]):
+        for names in ([], ["p"], ["p", "q"], ["p", "q", "r"])[:atom_count + 1]:
             decoded = decode_chunks(fr, full_order_chunks(fr, names, 1))
             assert list(iter_valuations(fr, names)) == decoded, (n, names)
 
@@ -453,6 +469,15 @@ def test_forces_rejects_a_world_outside_the_frame():
     for w in (0, 4):
         with pytest.raises(ValueError, match=f"world mask {w} outside M_2"):
             forces(fr, val, w, Atom("p"))
+
+
+def test_truth_set_and_forces_reject_a_valuation_of_another_frame():
+    val = valuation(frame(2), {"p": [world(1)]})
+    with pytest.raises(ValueError, match="valuation lives on M_2, not M_3"):
+        truth_set(frame(3), val, parse("~p"))
+    with pytest.raises(ValueError, match="valuation lives on M_2, not M_3"):
+        forces(frame(3), val, world(1), parse("~p"))
+    assert truth_set(frame(2), val, parse("~p")) == 0b010
 
 
 def test_witness_json_round_trip():
@@ -777,6 +802,13 @@ def test_reduced_sweep_matches_full_enumeration(monkeypatch, n):
     assert n == 1 or (3, False) in seen
 
 
+# blocks of 2 and 4 bytes, on as many atoms as a full sweep covers in well
+# under a second: theorems, and non-theorems refuted past the 500th valuation
+WIDE_BLOCKS = [(n, parse(text)) for n, text in (
+    (4, "p -> q -> p"), (4, "(~p -> q | ~q) -> (~p -> q) | (~p -> ~q)"),
+    (4, "((p -> q) -> p) -> p"), (4, "p -> ~q | q"), (5, "~~(p | ~p)"), (5, "~~p -> p"))]
+
+
 @pytest.mark.parametrize("bound, bits", [(3, None), (7, None), (50, None), (1 << 16, 1 << 12)])
 def test_reduced_sweep_in_small_chunks_matches_full_enumeration(monkeypatch, bound, bits):
     monkeypatch.setattr(medvedev, "_CHUNK_VALUATIONS", bound)
@@ -784,14 +816,14 @@ def test_reduced_sweep_in_small_chunks_matches_full_enumeration(monkeypatch, bou
         monkeypatch.setattr(medvedev, "_CHUNK_BITS", bits)
     calls = spy_run_program(monkeypatch)
     crossed = set()
-    for f in sweep_corpus(31, 40) + THREE_ATOMS:
-        for n in (1, 2, 3):
-            before = len(calls)
-            got = reduced_sweep(monkeypatch, frame(n), f)
-            if len(calls) - before > 1:  # the sweep ran past its first chunk
-                crossed.add(got[0])
-            assert got == full_sweep(frame(n), f), (n, bound, render(f))
-    assert crossed == {True, False}
+    cases = [(n, f) for f in sweep_corpus(31, 40) + THREE_ATOMS for n in (1, 2, 3)]
+    for n, f in cases + WIDE_BLOCKS:
+        before = len(calls)
+        got = reduced_sweep(monkeypatch, frame(n), f)
+        if len(calls) - before > 1:  # the sweep ran past its first chunk
+            crossed.add((n > 3, got[0]))
+        assert got == full_sweep(frame(n), f), (n, bound, render(f))
+    assert crossed == {(False, True), (False, False), (True, True), (True, False)}
     assert all(count <= bound and (count == 1 or held <= medvedev._CHUNK_BITS)
                for count, held in calls)
 
