@@ -10,13 +10,17 @@ function).  Everything else has infinite rank; the constants count as rank 1
 through ``F == ~T`` and ``T == ~F``.
 
 ``kp_normalize`` materializes the bodies ``b1..bk`` in a deterministic
-order, and ``verify_normal_form`` checks the claimed equivalence on small
-frames (plus a full intuitionistic proof when no ``->`` is involved).
+order, one skeleton node at a time, and ``verify_normal_form`` checks the
+claimed equivalence on small frames.  When no ``->`` is involved it also
+proves it intuitionistically: by construction, from one G4ip proof per
+step shape (``_step_lemma``, kept across calls), when the steps rebuild the
+claimed bodies, and otherwise by one search of the whole equivalence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InfiniteRankError, RankOverflowError, SearchBudgetError
 from .formula import (
@@ -35,7 +39,7 @@ from .formula import (
     render,
 )
 from .ipc import ipc_provable
-from .medvedev import FrameCheck, frame, valid_on
+from .medvedev import FrameCheck, _compile_entry, frame, valid_on
 
 RANK_CAP = 1 << 20
 # valuations per frame up to which ``verify_normal_form`` sweeps exhaustively
@@ -132,6 +136,38 @@ class NegDisjunction:
         return len(self.bodies)
 
 
+def _node_bodies(g: Formula, bodies: dict[int, tuple[Formula, ...]]) -> tuple[Formula, ...]:
+    """The bodies of skeleton node ``g``, given those of its children in
+    ``bodies`` by ``id``.  It only applies constructors, so renaming the
+    children's bodies renames the result."""
+    match g:
+        case Neg(a):
+            return (a,)
+        case Bot():
+            return (TOP,)
+        case Top():
+            return (BOT,)
+        case Or(a, b):
+            xs, ys = bodies[id(a)], bodies[id(b)]
+            _checked(len(xs) + len(ys), g, RANK_CAP)
+            return xs + ys
+        case And(a, b):
+            xs, ys = bodies[id(a)], bodies[id(b)]
+            _checked(len(xs) * len(ys), g, RANK_CAP)
+            return tuple(Or(x, y) for x in xs for y in ys)
+        case Imp(a, b):
+            xs, ys = bodies[id(a)], bodies[id(b)]
+            _checked(len(ys) ** len(xs), g, RANK_CAP)
+            # choices for the last antecedent body vary fastest; each body
+            # shares its tail with the bodies that agree on the later choices
+            out = tuple(And(Neg(xs[-1]), y) for y in ys)
+            for x in reversed(xs[:-1]):
+                heads = [And(Neg(x), y) for y in ys]
+                out = tuple(Or(head, rest) for head in heads for rest in out)
+            return out
+    raise InfiniteRankError(f"{render(g)} has no finite rank; cannot normalize")
+
+
 def kp_normalize(f: Formula) -> NegDisjunction:
     """Bodies of the normal form, in a fixed construction order.
 
@@ -143,37 +179,55 @@ def kp_normalize(f: Formula) -> NegDisjunction:
     """
     bodies: dict[int, tuple[Formula, ...]] = {}
     for g in _skeleton(f):
-        out: tuple[Formula, ...]
-        match g:
-            case Neg(a):
-                out = (a,)
-            case Bot():
-                out = (TOP,)
-            case Top():
-                out = (BOT,)
-            case Or(a, b):
-                xs, ys = bodies[id(a)], bodies[id(b)]
-                _checked(len(xs) + len(ys), g, RANK_CAP)
-                out = xs + ys
-            case And(a, b):
-                xs, ys = bodies[id(a)], bodies[id(b)]
-                _checked(len(xs) * len(ys), g, RANK_CAP)
-                out = tuple(Or(x, y) for x in xs for y in ys)
-            case Imp(a, b):
-                xs, ys = bodies[id(a)], bodies[id(b)]
-                _checked(len(ys) ** len(xs), g, RANK_CAP)
-                # choices for the last antecedent body vary fastest; each body
-                # shares its tail with the bodies that agree on the later choices
-                out = tuple(And(Neg(xs[-1]), y) for y in ys)
-                for x in reversed(xs[:-1]):
-                    heads = [And(Neg(x), y) for y in ys]
-                    out = tuple(Or(head, rest) for head in heads for rest in out)
-            case _:
-                raise InfiniteRankError(
-                    f"{render(g)} has no finite rank; cannot normalize"
-                )
-        bodies[id(g)] = out
+        bodies[id(g)] = _node_bodies(g, bodies)
     return NegDisjunction(bodies[id(f)])
+
+
+@lru_cache(maxsize=256)
+def _step_lemma(kind: type, m: int, k: int) -> bool:
+    """Whether ``ipc_provable`` proves, within its default budget, one
+    ``->``-free step of ``kp_normalize`` over fresh atoms: for ``|`` and
+    ``&``, ``N(xs) op N(ys) <-> N(bodies)`` with ``xs = x1..xm`` and
+    ``ys = y1..yk`` standing for the sides' bodies, where ``N(bs)`` is
+    ``~b1 | ... | ~bj``; for a constant (``m == k == 0``), ``F <-> ~T`` or
+    ``T <-> ~F``.  A search that runs out of budget is False, and kept."""
+    xs = tuple(Atom(f"x{i}") for i in range(1, m + 1))
+    ys = tuple(Atom(f"y{j}") for j in range(1, k + 1))
+    if kind is Or or kind is And:
+        g = kind(NegDisjunction(xs).to_formula(), NegDisjunction(ys).to_formula())
+        sides = {id(g.lhs): xs, id(g.rhs): ys}
+    else:
+        g, sides = kind(), {}
+    try:
+        return ipc_provable(iff(g, NegDisjunction(_node_bodies(g, sides)).to_formula()))
+    except SearchBudgetError:
+        return False
+
+
+def _lemma_bodies(skeleton: list[Formula], size: int) -> tuple[Formula, ...] | None:
+    """The root's bodies of a ``->``-free, finite-rank ``skeleton``, built
+    by ``_node_bodies`` node by node, when every step's lemma is proved, or
+    None.  Each step is its lemma with the atoms renamed to the sides'
+    bodies; IPC is closed under that substitution, under congruence and
+    under transitivity of ``<->``, so the root is IPC-equivalent to the
+    disjunction of negations of the result.  None also when the distinct
+    lemmas hold more bodies in all than ``size``, the subformula count of
+    the equivalence they would prove: there (say, a long left-nested chain,
+    each step a new and larger shape) one search of the whole equivalence
+    is the cheaper proof."""
+    bodies: dict[int, tuple[Formula, ...]] = {}
+    shapes: dict[tuple, int] = {}  # (kind, m, k) -> its lemma's bodies, first use first
+    for g in skeleton:
+        t = type(g)
+        if t is Or or t is And:
+            m, k = len(bodies[id(g.lhs)]), len(bodies[id(g.rhs)])
+            shapes[t, m, k] = m + k if t is Or else m * k
+        elif t is not Neg:
+            shapes[t, 0, 0] = 1
+        bodies[id(g)] = _node_bodies(g, bodies)
+    if sum(shapes.values()) > size or not all(_step_lemma(*s) for s in shapes):
+        return None
+    return bodies[id(skeleton[-1])]
 
 
 @dataclass(frozen=True)
@@ -199,9 +253,13 @@ def verify_normal_form(f: Formula, nd: NegDisjunction, bound: int = 3, *,
     Frames small enough for an exhaustive sweep (valuation count at most
     ``_EXHAUSTIVE_VALUATIONS``) are checked exhaustively, the rest with
     ``valid_on``'s default count of seeded samples.  When the skeleton of
-    ``f`` is free of ``->`` the equivalence is already intuitionistic and is
-    additionally fed to the prover in both directions.  A ``bound`` outside the frame
-    range is a ``ValueError`` before any check runs.
+    ``f`` is free of ``->`` the equivalence is already intuitionistic.  If
+    ``f`` has finite rank ``len(nd)``, every step's lemma (``_step_lemma``)
+    is proved and the steps rebuild ``nd``'s bodies, it is proved by
+    construction and ``ipc_equivalent`` is True without a search; otherwise
+    the prover searches ``f <-> nd`` itself, so a False only ever comes from
+    that search.  A ``bound`` outside the frame range is a ``ValueError``
+    before any check runs.
     """
     frame(bound)
     both = iff(f, nd.to_formula())
@@ -211,19 +269,24 @@ def verify_normal_form(f: Formula, nd: NegDisjunction, bound: int = 3, *,
                              budget=_EXHAUSTIVE_VALUATIONS * frame(n).world_count)
                     for n in range(bound, 0, -1)][::-1])
 
-    skeleton_types = {type(g) for g in _skeleton(f)}
+    skeleton = _skeleton(f)
+    skeleton_types = {type(g) for g in skeleton}
     needs_weak_kp = Imp in skeleton_types
+    rank_matches = kp_rank(f).value == len(nd)  # and so finite: no atom leaf
     ipc_equivalent: bool | None = None
     if not needs_weak_kp:
-        try:
-            ipc_equivalent = ipc_provable(both)
-        except SearchBudgetError:
-            ipc_equivalent = None
+        size = len(_compile_entry(both)[1])  # compiled by the sweeps, no second walk
+        if rank_matches and _lemma_bodies(skeleton, size) == nd.bodies:
+            ipc_equivalent = True
+        else:
+            try:
+                ipc_equivalent = ipc_provable(both)
+            except SearchBudgetError:
+                ipc_equivalent = None
 
-    rank = kp_rank(f)
     return NormalFormReport(
         formula=f,
-        rank_matches=rank.value == len(nd),
+        rank_matches=rank_matches,
         frame_checks=checks,
         needs_weak_kp=needs_weak_kp,
         ipc_equivalent=ipc_equivalent,

@@ -20,7 +20,6 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -373,9 +372,21 @@ class FrameCheck:
 
 
 def iter_valuations(fr: MedvedevFrame, names: list[str]) -> Iterator[Valuation]:
-    """All valuations over ``names``; the last atom varies fastest."""
-    for ups in product(_upset_list(fr.n), repeat=len(names)):
-        yield Valuation(fr, dict(zip(names, ups)))
+    """All valuations over ``names``; the last atom varies fastest.  An
+    odometer of up-set indices reads the table in place, where
+    ``itertools.product`` would copy it into a tuple of ints."""
+    ups = _upset_list(fr.n)
+    last = len(ups) - 1
+    digits = [0] * len(names)
+    while True:
+        yield Valuation(fr, {nm: ups[d] for nm, d in zip(names, digits)})
+        i = len(digits) - 1
+        while i >= 0 and digits[i] == last:
+            digits[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        digits[i] += 1
 
 
 def sample_valuation(fr: MedvedevFrame, names: list[str], rng: random.Random) -> Valuation:
@@ -539,17 +550,20 @@ def _chunks(pieces: Iterable[tuple[int, int, int]], u: int, cap: int,
 
 
 @lru_cache(maxsize=16)
-def _period(n: int, stride: int) -> bytes:
+def _period(n: int, stride: int) -> bytes | memoryview:
     """Every up-set of ``M_n`` in order, each over ``stride`` valuations, in
-    little-endian bytes: for ``stride`` 1 those of ``_upset_list(n)``."""
+    little-endian bytes: for ``stride`` 1 a view of ``_upset_list(n)``'s
+    own bytes (a byteswapped copy on a big-endian host).  A view cannot be
+    repeated with ``*``, so a slice of it is made ``bytes`` first."""
     if stride > 1:
         ups, size = _period(n, 1), _block_bits(n) // 8
-        return b"".join([ups[j:j + size] * stride for j in range(0, len(ups), size)])
+        return b"".join([bytes(ups[j:j + size]) * stride for j in range(0, len(ups), size)])
     table = _upset_list(n)
     if sys.byteorder == "big":
         table = array(table.typecode, table)
         table.byteswap()
-    return table.tobytes()
+        return table.tobytes()
+    return memoryview(table).cast("B")
 
 
 def _atom_value(n: int, stride: int, runs: list[tuple[int, int]]) -> int:
@@ -564,19 +578,19 @@ def _atom_value(n: int, stride: int, runs: list[tuple[int, int]]) -> int:
     for start, length in runs:
         first, count = start // stride % u * size, length // stride
         if span and (first != held or length > stride):
-            parts.append(ups[held:held + size] * span)
+            parts.append(bytes(ups[held:held + size]) * span)
             span = 0
         if length <= stride:
             held, span = first, span + length
         elif count > u:
-            parts.append(_period(n, stride) * (count // u))
+            parts.append(bytes(_period(n, stride)) * (count // u))
         elif stride == 1:
             parts.append(ups[first:first + count * size])
         else:
-            parts.extend([ups[j:j + size] * stride
+            parts.extend([bytes(ups[j:j + size]) * stride
                           for j in range(first, first + count * size, size)])
     if span:
-        parts.append(ups[held:held + size] * span)
+        parts.append(bytes(ups[held:held + size]) * span)
     return int.from_bytes(b"".join(parts), "little")
 
 

@@ -508,6 +508,8 @@ def test_normalize_without_a_prover_verdict_still_passes(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise SearchBudgetError("out")
 
+    # no step lemma proved either, whatever shapes earlier tests have proved
+    monkeypatch.setattr("medlog.kpform._step_lemma", lambda kind, m, k: False)
     monkeypatch.setattr("medlog.kpform.ipc_provable", exhausted)
     f = parse("~p | ~q")
     report = verify_normal_form(f, kp_normalize(f))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from medlog.errors import InfiniteRankError, RankOverflowError
+from medlog.errors import InfiniteRankError, RankOverflowError, SearchBudgetError
 import itertools
 from functools import reduce
 
@@ -20,6 +20,7 @@ from medlog.formula import (
     Or,
     Top,
     big_or,
+    iff,
     parse,
     render,
 )
@@ -34,6 +35,7 @@ from medlog.kpform import (
     kp_rank,
     verify_normal_form,
 )
+from medlog.ipc import ipc_provable
 from medlog.medvedev import UPSET_COUNTS
 from medlog.randgen import random_formula
 
@@ -380,3 +382,104 @@ def test_normalize_builds_implication_bodies_from_shared_tails():
             seen.add(id(g))
             stack.extend(getattr(g, a) for a in ("body", "lhs", "rhs") if hasattr(g, a))
     assert len(seen) <= 3 * len(bodies)
+
+
+# --- the equivalence proved from per-step lemmas ------------------------------
+
+def _whole_search(f, nd):
+    """The verdict of the one search of ``f <-> nd`` that the lemmas replace,
+    or None where it runs out of budget."""
+    try:
+        return ipc_provable(iff(f, nd.to_formula()))
+    except SearchBudgetError:
+        return None
+
+
+def test_every_step_lemma_up_to_four_by_four_is_proved():
+    for kind, m, k in itertools.product((Or, And), range(1, 5), range(1, 5)):
+        assert kpform._step_lemma(kind, m, k), (kind.__name__, m, k)
+    assert kpform._step_lemma(Bot, 0, 0) and kpform._step_lemma(Top, 0, 0)
+
+
+def test_lemma_path_declines_what_it_cannot_construct(monkeypatch):
+    # (formula, claimed bodies, ipc_equivalent, whether the whole equivalence
+    # was searched); each report equals the one made without the lemma path
+    g = parse("~p | ~q")
+    cases = [
+        (parse("p | ~q"), (Atom("q"),), False, True),  # infinite rank: an atom leaf
+        (g, (Atom("p"),), False, True),  # a wrong normal form
+        (g, (Atom("q"), Atom("p")), True, True),  # a reordered one
+        (And(g, g), None, True, False),  # one object twice in the skeleton
+        (parse("(~p | ~q) & T | F"), None, True, False),  # constants
+    ]
+    searched = []
+    real = kpform.ipc_provable
+
+    def spy(h, *args, **kwargs):
+        searched.append(h)
+        return real(h, *args, **kwargs)
+
+    for f, bodies, verdict, whole in cases:
+        nd = kp_normalize(f) if bodies is None else NegDisjunction(bodies)
+        both = iff(f, nd.to_formula())
+        with monkeypatch.context() as m:
+            m.setattr(kpform, "ipc_provable", spy)
+            searched.clear()
+            report = verify_normal_form(f, nd, bound=2)
+            assert (both in searched) == whole, render(f)
+            m.setattr(kpform, "_lemma_bodies", lambda skeleton, size: None)
+            assert verify_normal_form(f, nd, bound=2) == report, render(f)
+        assert report.ipc_equivalent is verdict, render(f)
+
+
+def test_lemma_path_declines_when_its_lemmas_outgrow_the_equivalence(monkeypatch):
+    # a left-nested chain needs a new, larger | lemma at every step; past the
+    # equivalence's own size the whole search runs instead, once
+    negs = [Neg(Atom(f"p{i}")) for i in range(40)]
+    f = reduce(Or, negs)
+    nd = kp_normalize(f)
+    calls = []
+    monkeypatch.setattr(kpform, "_step_lemma", lambda *shape: calls.append(shape) or True)
+    assert verify_normal_form(f, nd, bound=1).ipc_equivalent is True
+    assert calls == []
+    g = reduce(Or, negs[:4])
+    assert verify_normal_form(g, kp_normalize(g), bound=1).ipc_equivalent is True
+    assert calls == [(Or, 1, 1), (Or, 2, 1), (Or, 3, 1)]
+
+
+def _with_constants(f, rng):
+    """``f`` with some skeleton leaves replaced by ``F`` or ``T``."""
+    if isinstance(f, (Or, And)):
+        return type(f)(_with_constants(f.lhs, rng), _with_constants(f.rhs, rng))
+    return rng.choice((BOT, TOP)) if rng.random() < 0.3 else f
+
+
+def test_lemma_proofs_agree_with_the_whole_formula_search():
+    # where the one search of f <-> NF(f) finishes, verify_normal_form says
+    # the same; the lemma path builds kp_normalize's bodies on each of these
+    from test_ipc import _differential_corpus
+
+    fs = [h.lhs.lhs for h in _differential_corpus()[-300:]]
+    rng = random.Random(2404)
+    drawn = []
+    while len(drawn) < 1000:
+        f = random_finite_rank_formula(rng, ["p", "q", "r"], max_rank=16)
+        if Imp not in {type(g) for g in kpform._skeleton(f)}:
+            drawn.append(_with_constants(f, rng) if len(drawn) % 2 else f)
+    fs += drawn
+    compared = built = 0
+    for f in fs:
+        nd = kp_normalize(f)
+        skeleton = kpform._skeleton(f)
+        report = verify_normal_form(f, nd, bound=1)
+        if Imp in {type(g) for g in skeleton}:
+            assert report.ipc_equivalent is None, render(f)
+            continue
+        built += kpform._lemma_bodies(skeleton, 10**9) == nd.bodies
+        # a reordered or shortened claim takes the whole search
+        for claim in (nd, NegDisjunction(nd.bodies[::-1]), NegDisjunction(nd.bodies[1:])):
+            want = _whole_search(f, claim)
+            if want is not None:
+                assert verify_normal_form(f, claim, bound=1).ipc_equivalent is want, render(f)
+                compared += 1
+    assert built >= 1000 and compared >= 3000, (built, compared)

@@ -388,6 +388,17 @@ def test_iter_valuations_count_and_coverage():
     assert len(empty) == 1 and empty[0].map == {}
 
 
+def test_iter_valuations_runs_in_product_order():
+    # the odometer over the up-set table against the product it replaced
+    for n in (1, 2, 3):
+        fr = frame(n)
+        for k in range(4):
+            names = ["p", "q", "r"][:k]
+            want = [dict(zip(names, ups))
+                    for ups in itertools.product(medvedev._upset_list(n), repeat=k)]
+            assert [v.map for v in iter_valuations(fr, names)] == want, (n, k)
+
+
 def decode_chunks(fr, chunks):
     """Every valuation of a chunk stream, block by block off the packed values;
     also checks that the chunks are contiguous and hold nothing past their
@@ -745,6 +756,7 @@ def test_normal_form_check_and_proof_walk_the_equivalence_once(monkeypatch):
 
     f = parse("(~p | ~q) & ~r")
     nd = kp_normalize(f)
+    verify_normal_form(f, nd, bound=1)  # proves its step lemmas, which are kept
     walks = _count_walks(monkeypatch)
     rep = verify_normal_form(f, nd, bound=3)
     assert rep.ipc_equivalent is True and len(rep.frame_checks) == 3
